@@ -78,6 +78,22 @@ def require_numpy():
     return np
 
 
+def _distinct(np, values, counts: bool = False):
+    """Sorted distinct values of a 1-D array, optionally with how often
+    each occurs: ``np.unique`` as a sort and a neighbour diff.
+    ``np.unique`` itself lazily imports ``numpy.ma`` on first use
+    (about 1 MB of resident heap the fast path never needs)."""
+    ordered = np.sort(values)
+    # first[i]: ordered[i] opens a run; the extra last slot closes the final one.
+    first = np.ones(ordered.size + 1, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:-1])
+    distinct = ordered[first[:-1]]
+    if not counts:
+        return distinct
+    bounds = np.flatnonzero(first)
+    return distinct, bounds[1:] - bounds[:-1]
+
+
 class _Ineligible(Exception):
     """Internal: this signature cannot run columnar (peel to scalar)."""
 
@@ -335,7 +351,7 @@ def _classify(np, items, header_types, linkage, first_header):
             peel.append(rows)
             continue
         tags = extract(mat)[rows]
-        for tag in np.unique(tags):
+        for tag in _distinct(np, tags):
             sub = rows[tags == tag]
             pending.append(
                 (linkage.next_header(expected, int(tag)), need, new_chain, sub)
@@ -1148,7 +1164,7 @@ def _fire_arm(arm: _ArmExec, pc, fired, stats, np) -> None:
     lengths = pc.get("meta.packet_length")[fired]
     idx, entries = arm.table.lookup_batch(np, cols, lengths)
     table = arm.table
-    for rank in np.unique(idx):
+    for rank in _distinct(np, idx):
         rows = fired[idx == rank]
         if rank < 0:
             tag = 0
@@ -1201,7 +1217,7 @@ def _run_ipsa_group(sp: _SigPlan, pc, rows_global, items, outputs, device):
         # rules), grouped here by the egress port the scalar enqueue
         # would have queued on.
         ports = pc.get("meta.egress_spec")[survivors]
-        unique, counts = np.unique(ports, return_counts=True)
+        unique, counts = _distinct(np, ports, counts=True)
         device.pipeline.tm.account_passthrough(
             list(zip((int(p) for p in unique), (int(c) for c in counts)))
         )
@@ -1223,7 +1239,7 @@ def _run_flow_vec(steps, pc, rows, stats, drop, np) -> None:
             cols = [getter(pc, rows) for getter in step.key_getters]
             lengths = pc.get("meta.packet_length")[rows]
             idx, entries = step.table.lookup_batch(np, cols, lengths)
-            for rank in np.unique(idx):
+            for rank in _distinct(np, idx):
                 selected = rows[idx == rank]
                 if rank < 0:
                     name = step.default_action

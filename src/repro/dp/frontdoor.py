@@ -17,6 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
+# Loaded here rather than at the first batch: compiling the module from
+# source on top of a fully built fleet is what set a process's peak RSS.
+from repro.dp import columnar
 from repro.dp.core import DataplaneCore
 from repro.dp.exec import PipelineOutcome
 from repro.dp.hooks import NULL_HOOKS, ProfileHooks, resolve_hooks
@@ -193,8 +196,6 @@ def inject_batch(
         and profiler is None
         and int_clock is None
     ):
-        from repro.dp import columnar
-
         items = trace if isinstance(trace, list) else list(trace)
         columnar_outputs = columnar.try_run_batch(core, items)
         if columnar_outputs is not None:

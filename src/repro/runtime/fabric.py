@@ -1,17 +1,18 @@
 """A multi-switch fabric: wire ipbm instances into a topology.
 
 Each switch port is either an edge port (packets exit the fabric) or
-wired to a peer switch's port.  ``send`` walks a packet hop by hop --
-every hop is a full pipeline traversal on that device -- until it
-exits at an edge or is dropped.  With every node independently
-runtime-programmable, this is the "autonomous networks" setting the
-paper's introduction sketches: functions can be rolled out node by
-node while traffic keeps flowing.
+wired to a peer switch's port.  ``send_batch`` moves its packets as a
+hop-synchronous wavefront (:mod:`repro.runtime.walk`) -- every hop is a
+full pipeline traversal on that device, one ``inject_batch`` per node
+per hop -- until each exits at an edge or is dropped.  With every node
+independently runtime-programmable, this is the "autonomous networks"
+setting the paper's introduction sketches: functions can be rolled out
+node by node while traffic keeps flowing.
 
 The fabric runs in one of two modes:
 
 * **Serial** (the default): every hop executes inline in the calling
-  thread, exactly as before.
+  thread.
 * **Sharded** (:meth:`Fabric.shard`): the nodes are partitioned
   across :class:`~repro.runtime.workers.DeviceWorker` shards, each
   with its own receive loop over framed byte envelopes.  Traffic
@@ -24,18 +25,22 @@ The fabric runs in one of two modes:
 
 Per-hop delivery accounting flows through :attr:`Fabric.metrics` in
 both modes: ``fabric.injected{node}``, ``fabric.hop_forwarded{node,
-port}``, ``fabric.hop_dropped{node}``, ``fabric.delivered{node,port}``
--- so a health rule can target a single device's forwarding rate
-instead of only the aggregate :class:`FabricStats`.
+port}``, ``fabric.hop_dropped{node}``, ``fabric.delivered{node,port}``,
+``fabric.loops_cut{node}`` -- so a health rule can target a single
+device's forwarding rate instead of only the aggregate
+:class:`FabricStats`, and ``injected == delivered + hop_dropped +
+loops_cut`` holds on the registry as it does on the stats.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.controller import Controller
+from repro.runtime.walk import InFlight, walk
 from repro.runtime.workers import (
     TRAFFIC_CHUNK,
     DeviceWorker,
@@ -118,10 +123,6 @@ class Fabric:
         #: Central registry: per-hop delivery counters plus (when
         #: sharded) every worker's merged metric shard.
         self.metrics = MetricsRegistry()
-        self._injected: Dict[str, object] = {}
-        self._hop_forwarded: Dict[Tuple[str, int], object] = {}
-        self._hop_dropped: Dict[str, object] = {}
-        self._delivered: Dict[Tuple[str, int], object] = {}
         # Sharded mode (see shard()): device workers, node -> owner.
         self.workers: List[DeviceWorker] = []
         self._owner: Dict[str, DeviceWorker] = {}
@@ -344,106 +345,78 @@ class Fabric:
 
     # -- traffic ------------------------------------------------------------
 
-    def _count_injected(self, node: str) -> None:
-        counter = self._injected.get(node)
-        if counter is None:
-            counter = self.metrics.counter("fabric.injected", node=node)
-            self._injected[node] = counter
-        counter.inc()
-
-    def _count_forwarded(self, node: str, port: int) -> None:
-        counter = self._hop_forwarded.get((node, port))
-        if counter is None:
-            counter = self.metrics.counter(
-                "fabric.hop_forwarded", node=node, port=str(port)
-            )
-            self._hop_forwarded[(node, port)] = counter
-        counter.inc()
-
-    def _count_hop_dropped(self, node: str) -> None:
-        counter = self._hop_dropped.get(node)
-        if counter is None:
-            counter = self.metrics.counter("fabric.hop_dropped", node=node)
-            self._hop_dropped[node] = counter
-        counter.inc()
-
-    def _count_delivered(self, node: str, port: int) -> None:
-        counter = self._delivered.get((node, port))
-        if counter is None:
-            counter = self.metrics.counter(
-                "fabric.delivered", node=node, port=str(port)
-            )
-            self._delivered[(node, port)] = counter
-        counter.inc()
-
     def send(self, node: str, data: bytes, port: int = 0) -> Optional[Delivery]:
         """Walk a packet through the fabric; None if dropped."""
-        if self.workers:
-            return self._send_many_sharded([(node, data, port)])[0]
-        self.stats.injected += 1
-        self._count_injected(node)
-        path: List[str] = []
-        current, in_port = node, port
-        for hop in range(self.max_hops):
-            controller = self.node(current)
-            path.append(current)
-            out = controller.switch.inject(data, in_port)
-            if out is None:
-                self.stats.dropped += 1
-                self._count_hop_dropped(current)
-                return None
-            self._count_forwarded(current, out.port)
-            wire = self.peer(current, out.port)
-            if wire is None:
-                self.stats.delivered += 1
-                self._count_delivered(current, out.port)
-                delivered = out.data
-                if self.int_collector is not None:
-                    ingest = self.int_collector.ingest(
-                        delivered, node=current, port=out.port
-                    )
-                    if self._int_strip:
-                        delivered = ingest.stripped
-                return Delivery(
-                    node=current,
-                    port=out.port,
-                    data=delivered,
-                    hops=hop + 1,
-                    path=tuple(path),
-                )
-            data = out.data
-            current, in_port = wire
-        self.stats.loops_cut += 1
-        return None
+        return self.send_batch([(node, data, port)])[0]
 
     def send_many(
         self, node: str, trace: List[Tuple[bytes, int]]
     ) -> List[Optional[Delivery]]:
-        """Inject a trace; index-aligned deliveries (None = dropped).
+        """Inject a trace at one node; index-aligned deliveries (None =
+        dropped)."""
+        return self.send_batch([(node, data, port) for data, port in trace])
 
-        Sharded fabrics fan the batch out to the device workers
-        concurrently; hops that cross a shard boundary come back as
-        handoffs and are re-dispatched to their owner until every
-        packet exits or drops.
-        """
-        if self.workers:
-            return self._send_many_sharded(
-                [(node, data, port) for data, port in trace]
-            )
-        return [self.send(node, data, port) for data, port in trace]
-
-    def _send_many_sharded(
+    def send_batch(
         self, items: List[Tuple[str, bytes, int]]
     ) -> List[Optional[Delivery]]:
+        """Inject ``(node, data, port)`` items, index-aligned.
+
+        The start node varies per item, so one batch can cover the
+        whole fleet -- the soak harness's replay path.  The batch moves
+        as a hop-synchronous wavefront (:func:`repro.runtime.walk.walk`):
+        one ``inject_batch`` per node per hop.  Sharded fabrics fan the
+        batch out to the device workers concurrently; hops that cross a
+        shard boundary come back as handoffs and are re-dispatched to
+        their owner until every packet exits or drops.
+        """
+        items = list(items)
+        origins = Counter(node for node, _data, _port in items)
+        for node in origins:
+            self.node(node)  # an unknown origin fails before any hop runs
+        for node, count in origins.items():
+            self.metrics.counter("fabric.injected", node=node).inc(count)
+        self.stats.injected += len(items)
         results: List[Optional[Delivery]] = [None] * len(items)
+        if self.workers:
+            self._walk_sharded(items, results)
+            return results
+        walked = walk(
+            [InFlight(index, *item) for index, item in enumerate(items)],
+            self.nodes, self._wires, self.max_hops, self.metrics,
+        )
+        self.stats.dropped += len(walked.dropped)
+        self.stats.loops_cut += len(walked.loops)
+        for flight in walked.exits:
+            results[flight.index] = self._deliver(
+                flight.node, flight.port, flight.data, flight.hops,
+                flight.path,
+            )
+        return results
+
+    def _deliver(
+        self, node: str, port: int, data: bytes, hops: int, path: List[str]
+    ) -> Delivery:
+        """One packet leaving at an edge: collector ingest, then the
+        :class:`Delivery` the caller sees."""
+        self.stats.delivered += 1
+        if self.int_collector is not None:
+            ingest = self.int_collector.ingest(data, node=node, port=port)
+            if self._int_strip:
+                data = ingest.stripped
+        return Delivery(
+            node=node, port=port, data=data, hops=hops, path=tuple(path)
+        )
+
+    def _walk_sharded(
+        self,
+        items: List[Tuple[str, bytes, int]],
+        results: List[Optional[Delivery]],
+    ) -> None:
         batches: Dict[DeviceWorker, List[dict]] = {}
         for index, (node, data, port) in enumerate(items):
-            self.stats.injected += 1
-            self._count_injected(node)
             batches.setdefault(self._worker_of(node), []).append(
                 {"i": index, "node": node, "port": port, "data": data.hex()}
             )
-
         while batches:
             calls = [
                 (
@@ -462,41 +435,17 @@ class Fabric:
                 self.stats.dropped += len(reply["dropped"])
                 self.stats.loops_cut += len(reply["loops"])
                 for delivery in reply["deliveries"]:
-                    self.stats.delivered += 1
-                    delivered = bytes.fromhex(delivery["data"])
-                    if self.int_collector is not None:
-                        ingest = self.int_collector.ingest(
-                            delivered,
-                            node=delivery["node"],
-                            port=delivery["port"],
-                        )
-                        if self._int_strip:
-                            delivered = ingest.stripped
-                    results[delivery["i"]] = Delivery(
-                        node=delivery["node"],
-                        port=delivery["port"],
-                        data=delivered,
-                        hops=delivery["hops"],
-                        path=tuple(delivery["path"]),
+                    results[delivery["i"]] = self._deliver(
+                        delivery["node"],
+                        delivery["port"],
+                        bytes.fromhex(delivery["data"]),
+                        delivery["hops"],
+                        delivery["path"],
                     )
                 for handoff in reply["handoffs"]:
                     batches.setdefault(
                         self._worker_of(handoff["node"]), []
                     ).append(handoff)
-        return results
-
-    def send_batch(
-        self, items: List[Tuple[str, bytes, int]]
-    ) -> List[Optional[Delivery]]:
-        """Inject ``(node, data, port)`` items, index-aligned.
-
-        Unlike :meth:`send_many` the start node varies per item, so
-        one batch can cover the whole fleet -- the soak harness's
-        replay path.  Sharded fabrics fan out across the workers.
-        """
-        if self.workers:
-            return self._send_many_sharded(list(items))
-        return [self.send(node, data, port) for node, data, port in items]
 
     # -- fleet-wide updates ----------------------------------------------------
 
@@ -510,14 +459,15 @@ class Fabric:
         order = list(nodes) if nodes is not None else list(self.nodes)
         rolled: List[str] = []
         for name in reversed(order):
-            if self.workers:
-                self._worker_of(name).request(
-                    "worker.rollback", {"node": name}
-                )
-            else:
-                self.node(name).rollback()
+            self._rollback_node(name)
             rolled.append(name)
         return rolled
+
+    def _rollback_node(self, name: str) -> None:
+        if self.workers:
+            self._worker_of(name).request("worker.rollback", {"node": name})
+        else:
+            self.node(name).rollback()
 
     def rollout(
         self,
@@ -644,8 +594,7 @@ class Fabric:
                 return
             origin = evidence_node if evidence_node is not None else order[0]
             start = len(collector.records)
-            for data, port in evidence_trace:
-                self.send(origin, data, port)
+            self.send_many(origin, evidence_trace)
             fresh = collector.records[start:]
             epochs = sorted({e for r in fresh for e in r["epochs"]})
             report.epoch_evidence.append(
@@ -771,12 +720,7 @@ class Fabric:
         def unwind(failed: str, cause: Exception, pending: List[str]) -> None:
             rolled_back: List[str] = []
             for name in reversed(committed):
-                if self.workers:
-                    self._worker_of(name).request(
-                        "worker.rollback", {"node": name}
-                    )
-                else:
-                    self.node(name).rollback()
+                self._rollback_node(name)
                 rolled_back.append(name)
             if self.health is not None:
                 report.flight_record = self.health.recorder.dump(
@@ -828,14 +772,10 @@ class Fabric:
             whole wave while every member is still shadow: nothing in
             the wave commits."""
             later = [n for w in waves[wave_index + 1:] for n in w]
-            by_worker: List[Tuple[DeviceWorker, List[str]]] = []
-            grouped: Dict[str, List[str]] = {}
+            grouped: Dict[DeviceWorker, List[str]] = {}
             for name in wave:
-                worker = self._worker_of(name)
-                if worker.name not in grouped:
-                    grouped[worker.name] = []
-                    by_worker.append((worker, grouped[worker.name]))
-                grouped[worker.name].append(name)
+                grouped.setdefault(self._worker_of(name), []).append(name)
+            by_worker = list(grouped.items())
 
             def batch_error(entry: dict, kind: str) -> WorkerError:
                 detail = entry["error"]

@@ -31,11 +31,12 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry, Sample
 from repro.runtime.channel import ChannelError, ControlChannel, QueueTransport
+from repro.runtime.walk import InFlight, walk
 
 #: Traffic items per ``worker.inject_batch`` frame: bounds frame size
 #: (and peak memory) when a soak ships millions of packets.
@@ -246,16 +247,17 @@ class ShardSnapshotter:
 # -- the worker -------------------------------------------------------------
 
 
-@dataclass
-class _WalkState:
-    """A packet mid-walk: where it is and where it has been."""
-
-    index: int
-    node: str
-    port: int
-    data: bytes
-    hops: int = 0
-    path: List[str] = field(default_factory=list)
+def _wire_item(flight: InFlight) -> dict:
+    """An in-flight packet as the JSON-safe traffic item the channel
+    carries (deliveries, handoffs)."""
+    return {
+        "i": flight.index,
+        "node": flight.node,
+        "port": flight.port,
+        "data": flight.data.hex(),
+        "hops": flight.hops,
+        "path": flight.path,
+    }
 
 
 class DeviceWorker:
@@ -279,9 +281,6 @@ class DeviceWorker:
         self.metrics = MetricsRegistry()
         self._n_commands = self.metrics.counter("worker.commands")
         self._n_errors = self.metrics.counter("worker.command_errors")
-        self._hop_forwarded: Dict[Tuple[str, int], object] = {}
-        self._hop_dropped: Dict[str, object] = {}
-        self._delivered: Dict[Tuple[str, int], object] = {}
         self._snapshotter = ShardSnapshotter()
         self._staged: Dict[str, object] = {}
         self._staged_seq = 0
@@ -427,97 +426,26 @@ class DeviceWorker:
                 node=node,
             ) from None
 
-    # Traffic: walk every item hop by hop through owned devices; a hop
-    # landing on a foreign node comes back as a handoff for the owner.
-
-    def _hop_counter(self, node: str, port: int):
-        counter = self._hop_forwarded.get((node, port))
-        if counter is None:
-            counter = self.metrics.counter(
-                "fabric.hop_forwarded", node=node, port=str(port)
-            )
-            self._hop_forwarded[(node, port)] = counter
-        return counter
+    # Traffic: the shared wavefront walker over the owned devices; a
+    # hop landing on a foreign node comes back as a handoff for the owner.
 
     def _cmd_inject_batch(self, payload: dict) -> dict:
-        deliveries: List[dict] = []
-        handoffs: List[dict] = []
-        dropped: List[int] = []
-        loops: List[int] = []
-        for item in payload["items"]:
-            state = _WalkState(
-                index=item["i"],
-                node=item["node"],
-                port=item["port"],
-                data=bytes.fromhex(item["data"]),
-                hops=item.get("hops", 0),
-                path=list(item.get("path", [])),
-            )
-            self._walk(state, deliveries, handoffs, dropped, loops)
+        walked = walk(
+            [
+                InFlight(
+                    item["i"], item["node"], bytes.fromhex(item["data"]),
+                    item["port"], item.get("hops", 0), item.get("path", []),
+                )
+                for item in payload["items"]
+            ],
+            self.devices, self.wires, self.max_hops, self.metrics,
+        )
         return {
-            "deliveries": deliveries,
-            "handoffs": handoffs,
-            "dropped": dropped,
-            "loops": loops,
+            "deliveries": [_wire_item(flight) for flight in walked.exits],
+            "handoffs": [_wire_item(flight) for flight in walked.handoffs],
+            "dropped": walked.dropped,
+            "loops": walked.loops,
         }
-
-    def _walk(self, state, deliveries, handoffs, dropped, loops) -> None:
-        while True:
-            controller = self.devices.get(state.node)
-            if controller is None:
-                handoffs.append(
-                    {
-                        "i": state.index,
-                        "node": state.node,
-                        "port": state.port,
-                        "data": state.data.hex(),
-                        "hops": state.hops,
-                        "path": state.path,
-                    }
-                )
-                return
-            if state.hops >= self.max_hops:
-                loops.append(state.index)
-                return
-            state.path.append(state.node)
-            out = controller.switch.inject(state.data, state.port)
-            state.hops += 1
-            if out is None:
-                counter = self._hop_dropped.get(state.node)
-                if counter is None:
-                    counter = self.metrics.counter(
-                        "fabric.hop_dropped", node=state.node
-                    )
-                    self._hop_dropped[state.node] = counter
-                counter.inc()
-                dropped.append(state.index)
-                return
-            self._hop_counter(state.node, out.port).inc()
-            wire = self.wires.get((state.node, out.port))
-            if wire is None:
-                key = (state.node, out.port)
-                counter = self._delivered.get(key)
-                if counter is None:
-                    counter = self.metrics.counter(
-                        "fabric.delivered",
-                        node=state.node,
-                        port=str(out.port),
-                    )
-                    self._delivered[key] = counter
-                counter.inc()
-                deliveries.append(
-                    {
-                        "i": state.index,
-                        "node": state.node,
-                        "port": out.port,
-                        "data": out.data.hex(),
-                        "hops": state.hops,
-                        "path": state.path,
-                    }
-                )
-                return
-            state.data = out.data
-            state.node, state.port = wire
 
     # Updates: the controller's transactional staging engine, driven
     # remotely.  Staged updates park in the worker under a token until
@@ -619,40 +547,32 @@ class DeviceWorker:
         restored = controller.rollback()
         return {"restored": restored}
 
-    def _cmd_probe(self, payload: dict) -> dict:
-        """One front-door probe batch on a single owned device --
-        rollout health gates use this so probe traffic runs on the
-        device's owning thread, serialized with in-flight traffic."""
-        controller = self._device(payload["node"])
+    def _probe(self, node: str, payload: dict) -> dict:
         trace = [
             (bytes.fromhex(data), port) for data, port in payload["items"]
         ]
-        result = controller.switch.inject_batch(trace)
+        result = self._device(node).switch.inject_batch(trace)
         return {
             "total": len(result),
             "forwarded": result.forwarded,
             "dropped": result.dropped,
         }
 
+    def _cmd_probe(self, payload: dict) -> dict:
+        """One front-door probe batch on a single owned device --
+        rollout health gates use this so probe traffic runs on the
+        device's owning thread, serialized with in-flight traffic."""
+        return self._probe(payload["node"], payload)
+
     def _cmd_probe_batch(self, payload: dict) -> dict:
         """The same probe trace through several owned nodes' front
         doors, one frame -- the wave gate's fast path."""
-        trace = [
-            (bytes.fromhex(data), port) for data, port in payload["items"]
-        ]
-        results: List[dict] = []
-        for node in payload["nodes"]:
-            controller = self._device(node)
-            result = controller.switch.inject_batch(trace)
-            results.append(
-                {
-                    "node": node,
-                    "total": len(result),
-                    "forwarded": result.forwarded,
-                    "dropped": result.dropped,
-                }
-            )
-        return {"results": results}
+        return {
+            "results": [
+                {"node": node, **self._probe(node, payload)}
+                for node in payload["nodes"]
+            ]
+        }
 
     # Metrics: one delta snapshot covering every owned device's
     # registries plus the worker's own hop/delivery counters.

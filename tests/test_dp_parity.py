@@ -22,6 +22,7 @@ from repro.bench.scenarios import (
     make_ipsa_controller,
     make_switch,
 )
+from tests.isolated import run_python
 
 CASES = ("C1", "C2", "C3")
 N_PACKETS = 25
@@ -384,3 +385,40 @@ class TestColumnarPlanEpochs:
         parked = switch.dp.new_packet(trace[0][0], 0)
         switch.pipeline.tm.enqueue(parked)
         assert columnar.try_run_batch(switch.dp, trace) is None
+
+
+class TestDistinctHelper:
+    """``columnar._distinct`` stands in for ``np.unique`` (same groups,
+    same order, same counts) without that function's lazy
+    ``numpy.ma`` import."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [[], [7], [4, 4, 4], [3, -1, 3, 9, -1, 3, 0], list(range(5, 0, -1))],
+    )
+    def test_matches_np_unique(self, values):
+        import numpy as np
+
+        from repro.dp import columnar
+
+        array = np.array(values, dtype=np.int64)
+        want, want_counts = np.unique(array, return_counts=True)
+        got, got_counts = columnar._distinct(np, array, counts=True)
+        assert got.tolist() == want.tolist()
+        assert got_counts.tolist() == want_counts.tolist()
+        assert got.dtype == want.dtype
+        assert columnar._distinct(np, array).tolist() == want.tolist()
+
+    def test_columnar_batch_never_imports_numpy_ma(self):
+        """In a fresh interpreter: a batch that takes the vector path
+        (classify, exact + LPM lookups, TM passthrough) leaves
+        ``numpy.ma`` unloaded."""
+        run_python(
+            "import sys\n"
+            "from repro.bench.scenarios import case_trace, make_switch\n"
+            "from repro.dp import columnar\n"
+            "switch = make_switch('ipsa', 'base')\n"
+            "outputs = columnar.try_run_batch(switch.dp, case_trace('base', 32))\n"
+            "assert outputs is not None and len(outputs) == 32\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+        )

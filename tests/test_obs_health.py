@@ -20,6 +20,7 @@ from repro.obs.health import (
     rule_from_dict,
 )
 from repro.obs.metrics import Histogram, MetricsRegistry
+from tests.isolated import run_python
 
 
 class TestWindowedSeries:
@@ -436,3 +437,28 @@ class TestHealthEngine:
         assert switch.flight_recorder is not None
         engine.remove_source("dev")
         assert switch.flight_recorder is None
+
+
+def test_obs_package_loads_health_and_intcol_lazily():
+    """``repro.obs`` re-exports ``health`` / ``intcol`` names through a
+    module ``__getattr__``: a process that only forwards packets never
+    loads either module, yet every spelling of the import still works."""
+    run_python(
+        "import sys\n"
+        "import repro.runtime\n"
+        "import repro.obs\n"
+        "for name in ('repro.obs.health', 'repro.obs.intcol'):\n"
+        "    assert name not in sys.modules, name + ' loaded eagerly'\n"
+        "from repro.obs import HealthEngine, IntCollector\n"
+        "assert repro.obs.health.HealthEngine is HealthEngine\n"
+        "assert repro.obs.intcol.IntCollector is IntCollector\n"
+        "namespace = {}\n"
+        "exec('from repro.obs import *', namespace)\n"
+        "assert set(repro.obs.__all__) <= set(namespace)\n"
+        "try:\n"
+        "    repro.obs.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('unknown attribute did not raise')\n"
+    )
