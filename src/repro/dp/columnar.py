@@ -689,7 +689,7 @@ def _compile_action_value(expr, ctx: _Ctx, params: Dict[str, int]):
         name = expr.name
 
         def param_fn(pc, rows, bound):
-            return np.uint64(bound[name])
+            return bound[name]  # the rows' slice of the parameter column
 
         return (param_fn, None, width)
     if isinstance(expr, act.FieldRef):
@@ -809,16 +809,21 @@ def _compile_primitive(name: str, ctx: _Ctx):
     raise _Ineligible(name)
 
 
-def _bind_params(adef, action_data):
-    """Replicates :meth:`ActionDef.execute`'s parameter binding."""
-    bound: Dict[str, int] = {}
+def _param_columns(np, adef, datas):
+    """:meth:`ActionDef.execute`'s parameter binding over a list of
+    action-data dicts: one width-masked ``uint64`` column per declared
+    parameter (``None`` = a rank bound to another action).  A missing
+    parameter raises ``KeyError``; parameters wider than 64 bits get no
+    column, no vector kernel can read them."""
+    columns = {}
     for name, width in adef.params:
-        if name not in action_data:
-            raise KeyError(
-                f"action {adef.name!r} missing parameter {name!r}"
-            )
-        bound[name] = mask_to_width(action_data[name], width)
-    return bound
+        values = [
+            0 if data is None else mask_to_width(data[name], width)
+            for data in datas
+        ]
+        if width <= 64:
+            columns[name] = np.array(values, np.uint64)
+    return columns
 
 
 # --------------------------------------------------------------------------
@@ -875,8 +880,14 @@ def _make_key_getter(ref: str, nbytes: int, ctx: _Ctx):
 class _ArmExec:
     __slots__ = (
         "pred", "empty", "table", "key_getters", "tag_kernels",
-        "default_kernel",
+        "default_kernel", "dispatch",
     )
+
+    def resolve(self, entry, ctx):
+        """The (adef, kernel) pair ``entry`` (``None``: a miss) runs."""
+        if entry is None:
+            return self.default_kernel
+        return self.tag_kernels.get(entry.tag, self.default_kernel)
 
 
 class _StageExec:
@@ -888,7 +899,27 @@ class _TspExec:
 
 
 class _ApplyExec:
-    __slots__ = ("table", "actions", "default_action", "key_getters", "kernels")
+    __slots__ = (
+        "table", "actions", "default_action", "key_getters", "kernels",
+        "dispatch",
+    )
+
+    def resolve(self, entry, ctx):
+        """As :meth:`_ArmExec.resolve`, but PISA action sets are
+        entry-data-dependent: kernels compile as entries name them.
+        ``None``: unknown (scalar raises KeyError) or not vectorizable."""
+        name = self.default_action if entry is None else entry.action
+        pair = self.kernels.get(name, _MISSING)
+        if pair is _MISSING:
+            adef = self.actions.get(name)
+            pair = None
+            if adef is not None:
+                try:
+                    pair = (adef, _compile_action(adef, ctx))
+                except _Ineligible:
+                    pass
+            self.kernels[name] = pair
+        return pair
 
 
 class _CondExec:
@@ -900,25 +931,78 @@ class _SigPlan:
     counts, arm/step kernels, and the emit layout."""
 
     __slots__ = (
-        "ctx", "recipes", "w_extent", "pad_fixups", "tables",
-        "ingress", "egress", "apply_steps", "parsed_count",
+        "ctx", "recipes", "pad_fixups", "execs",
+        "ingress", "egress", "parsed_count",
     )
 
     def __init__(self):
-        self.tables: List = []
-        self.apply_steps: List[_ApplyExec] = []
+        self.execs: List = []  # every table-firing arm / apply step
 
     def prepare(self, np) -> bool:
-        """Per-batch gate: build every table's batch index and (PISA)
-        compile kernels for every action its entries currently name.
-        Runs before any side effect, so a False is a clean peel."""
-        for table in self.tables:
-            if not table.prepare_batch(np):
-                return False
-        for step in self.apply_steps:
-            if not _ensure_step_kernels(step, self.ctx):
+        """Per-batch gate: every table's batch index and action
+        dispatch are current for its engine version (rebuilt here when
+        not).  Runs before any side effect, so a False is a clean peel."""
+        for ex in self.execs:
+            engine = ex.table._engine
+            cached = ex.dispatch
+            if (
+                cached is None
+                or cached[0] is not engine
+                or cached[1] != engine.version
+            ):
+                cached = ex.dispatch = (
+                    engine, engine.version, _build_dispatch(np, ex, self.ctx)
+                )
+            if cached[2] is None:
                 return False
         return True
+
+
+def _build_dispatch(np, ex, ctx: _Ctx):
+    """What one arm / apply step needs to run its actions once per
+    *action* instead of once per entry hit, for the table's current
+    engine version: ``(slot_of_rank, slots, default)`` over the batch
+    index's own entry list.  ``slots[i]`` is ``(kernel, columns)`` --
+    one masked parameter column per declared parameter, indexed by
+    entry rank -- ``slot_of_rank`` maps ranks to slots (``None`` while
+    every entry runs the same action) and ``default`` is the miss
+    pair with one-row columns.  ``None`` -> the group peels: no batch
+    index, an action without a vector kernel, or an entry lacking a
+    declared parameter (the scalar loop raises that ``KeyError``)."""
+    table = ex.table
+    if not table.prepare_batch(np):
+        return None
+    entries = table.batch_entries()
+    pairs: List[tuple] = []
+    slot_by_pair: Dict[int, int] = {}
+    slot_of_rank = []
+    for entry in entries:
+        pair = ex.resolve(entry, ctx)
+        if pair is None:
+            return None
+        slot = slot_by_pair.setdefault(id(pair), len(pairs))
+        if slot == len(pairs):
+            pairs.append(pair)
+        slot_of_rank.append(slot)
+    default = ex.resolve(None, ctx)
+    if default is None:
+        return None
+    try:
+        slots = [
+            (kernel, _param_columns(np, adef, [
+                entry.action_data if owner == slot else None
+                for entry, owner in zip(entries, slot_of_rank)
+            ]))
+            for slot, (adef, kernel) in enumerate(pairs)
+        ]
+        default = (
+            default[1], _param_columns(np, default[0], [table.default_data])
+        )
+    except (KeyError, TypeError):
+        return None
+    if len(slots) < 2:
+        return None, slots, default
+    return np.array(slot_of_rank, np.int64), slots, default
 
 
 def _resolve_kernel(name, adef, ctx: _Ctx, device):
@@ -970,7 +1054,8 @@ def _compile_arm(arm, ctx: _Ctx, device, sp: _SigPlan):
         _make_key_getter(kf.ref, nb, ctx)
         for kf, nb in zip(table.key, field_bytes)
     )
-    sp.tables.append(table)
+    ex.dispatch = None
+    sp.execs.append(ex)
     return ex
 
 
@@ -1047,8 +1132,8 @@ def _compile_pisa_sig(core, plan, chain, terminal, prog) -> _SigPlan:
                     for kf, nb in zip(table.key, field_bytes)
                 )
                 ex.kernels = {}
-                sp.tables.append(table)
-                sp.apply_steps.append(ex)
+                ex.dispatch = None
+                sp.execs.append(ex)
                 out.append(ex)
             else:  # IfStep
                 value = _compile_pred_value(step.cond, ctx)
@@ -1078,17 +1163,12 @@ def _compile_pisa_sig(core, plan, chain, terminal, prog) -> _SigPlan:
 
 
 def _finish_layout(sp: _SigPlan, chain, parsed_count: int) -> None:
-    """Emit layout: wire extent of the parsed prefix + pad-bit masks.
+    """Emit layout: pad-bit masks over the parsed prefix.
 
     Scalar ``pack()`` zeroes a header's pad bits on emit even when the
     wire had them set, so the columnar emit clears them in the byte
     matrix instead of peeling such packets.
     """
-    if parsed_count:
-        name, htype, off = chain[parsed_count - 1]
-        sp.w_extent = off + htype._fixed_bytes
-    else:
-        sp.w_extent = 0
     fixups = []
     for name, htype, off in chain[:parsed_count]:
         pad = htype._pad_bits
@@ -1097,36 +1177,6 @@ def _finish_layout(sp: _SigPlan, chain, parsed_count: int) -> None:
                 (off + htype._fixed_bytes - 1, 0xFF ^ ((1 << pad) - 1))
             )
     sp.pad_fixups = tuple(fixups)
-
-
-def _ensure_step_kernels(step: _ApplyExec, ctx: _Ctx) -> bool:
-    """PISA action sets are entry-data-dependent: compile kernels for
-    every action the table's entries currently select (cached on the
-    engine by version)."""
-    table = step.table
-    engine = table._engine
-    version = getattr(engine, "version", None)
-    cached = getattr(engine, "_columnar_actions", None)
-    if cached is None or cached[0] != version:
-        names = {entry.action for entry in table.entries()}
-        engine._columnar_actions = (version, names)
-    else:
-        names = cached[1]
-    for name in names | {step.default_action}:
-        kernel = step.kernels.get(name, _MISSING)
-        if kernel is _MISSING:
-            adef = step.actions.get(name)
-            if adef is None:
-                kernel = None  # scalar raises KeyError: peel
-            else:
-                try:
-                    kernel = (adef, _compile_action(adef, ctx))
-                except _Ineligible:
-                    kernel = None
-            step.kernels[name] = kernel
-        if kernel is None:
-            return False
-    return True
 
 
 # --------------------------------------------------------------------------
@@ -1158,34 +1208,45 @@ def _run_stage_arms(stage: _StageExec, pc, active, stats, np) -> None:
         _fire_arm(arm, pc, fired, stats, np)
 
 
-def _fire_arm(arm: _ArmExec, pc, fired, stats, np) -> None:
-    stats.account_batch(lookups=int(fired.size))
-    cols = [getter(pc, fired) for getter in arm.key_getters]
-    lengths = pc.get("meta.packet_length")[fired]
-    idx, entries = arm.table.lookup_batch(np, cols, lengths)
-    table = arm.table
-    for rank in _distinct(np, idx):
-        rows = fired[idx == rank]
-        if rank < 0:
-            tag = 0
-            action_data = table.default_data
-        else:
-            entry = entries[rank]
-            tag = entry.tag
-            action_data = entry.action_data
-        adef, kernel = arm.tag_kernels.get(tag, arm.default_kernel)
-        kernel(pc, rows, _bind_params(adef, action_data))
-    stats.account_batch(actions_run=int(fired.size))
+def _fire_arm(ex, pc, rows, stats, np) -> None:
+    """One match-action firing -- an IPSA arm or a PISA apply step --
+    over ``rows``: one batched lookup, then each action kernel once
+    with its parameters gathered from the dispatch columns."""
+    count = int(rows.size)
+    stats.account_batch(lookups=count, actions_run=count)
+    cols = [getter(pc, rows) for getter in ex.key_getters]
+    idx, _entries = ex.table.lookup_batch(
+        np, cols, pc.get("meta.packet_length")[rows]
+    )
+    slot_of_rank, slots, default = ex.dispatch[2]
+    miss = idx < 0
+    if miss.any():
+        kernel, columns = default
+        kernel(pc, rows[miss], columns)
+        hit = ~miss
+        rows, idx = rows[hit], idx[hit]
+        if rows.size == 0:
+            return
+    if slot_of_rank is None:
+        _run_slot(slots[0], pc, rows, idx)
+    else:
+        slot_of_row = slot_of_rank[idx]
+        for slot in _distinct(np, slot_of_row).tolist():
+            chosen = slot_of_row == slot
+            _run_slot(slots[slot], pc, rows[chosen], idx[chosen])
+
+
+def _run_slot(slot, pc, rows, ranks) -> None:
+    kernel, columns = slot
+    kernel(pc, rows, {name: col[ranks] for name, col in columns.items()})
 
 
 def _note_drops(device, reason, count: int) -> None:
     device.packets_dropped += count
-    note = device.note_drop
-    for _ in range(count):
-        note(reason)
+    device.note_drop(reason, count)
 
 
-def _run_ipsa_group(sp: _SigPlan, pc, rows_global, items, outputs, device):
+def _run_ipsa_group(sp: _SigPlan, pc, rows_global, outputs, device):
     np = pc.np
     drop = pc.get("meta.drop")
 
@@ -1226,7 +1287,7 @@ def _run_ipsa_group(sp: _SigPlan, pc, rows_global, items, outputs, device):
     if egress_dead:
         _note_drops(device, DropReason.EGRESS_ACTION, egress_dead)
     final = survivors[drop[survivors] == 0]
-    _emit_rows(sp, pc, final, rows_global, items, outputs, device, None)
+    _emit_rows(sp, pc, final, rows_global, outputs, device, None)
 
 
 def _run_flow_vec(steps, pc, rows, stats, drop, np) -> None:
@@ -1235,22 +1296,7 @@ def _run_flow_vec(steps, pc, rows, stats, drop, np) -> None:
         if rows.size == 0:
             return
         if isinstance(step, _ApplyExec):
-            stats.account_batch(lookups=int(rows.size))
-            cols = [getter(pc, rows) for getter in step.key_getters]
-            lengths = pc.get("meta.packet_length")[rows]
-            idx, entries = step.table.lookup_batch(np, cols, lengths)
-            for rank in _distinct(np, idx):
-                selected = rows[idx == rank]
-                if rank < 0:
-                    name = step.default_action
-                    action_data = step.table.default_data
-                else:
-                    entry = entries[rank]
-                    name = entry.action
-                    action_data = entry.action_data
-                adef, kernel = step.kernels[name]
-                kernel(pc, selected, _bind_params(adef, action_data))
-            stats.account_batch(actions_run=int(rows.size))
+            _fire_arm(step, pc, rows, stats, np)
         else:
             if step.const is not None:
                 branch = step.then_steps if step.const else step.else_steps
@@ -1266,7 +1312,7 @@ def _run_flow_vec(steps, pc, rows, stats, drop, np) -> None:
                 )
 
 
-def _run_pisa_group(sp: _SigPlan, pc, rows_global, items, outputs, device):
+def _run_pisa_group(sp: _SigPlan, pc, rows_global, outputs, device):
     np = pc.np
     parser = device.parser
     parser.stats.packets += pc.m
@@ -1286,17 +1332,16 @@ def _run_pisa_group(sp: _SigPlan, pc, rows_global, items, outputs, device):
         if egress_dead:
             _note_drops(device, DropReason.EGRESS_ACTION, egress_dead)
     final = survivors[drop[survivors] == 0]
-    _emit_rows(
-        sp, pc, final, rows_global, items, outputs, device, device.deparser
-    )
+    _emit_rows(sp, pc, final, rows_global, outputs, device, device.deparser)
 
 
-def _emit_rows(sp, pc, final, rows_global, items, outputs, device, deparser):
+def _emit_rows(sp, pc, final, rows_global, outputs, device, deparser):
     """Scatter dirty columns, zero pad bits, and emit survivors.
 
-    The wire image is the (possibly rewritten) parsed prefix from the
-    byte matrix plus the untouched original payload tail -- exactly
-    what scalar ``Packet.emit`` produces.
+    Row ``r`` of the byte matrix is the original packet with its
+    parsed prefix rewritten in place, so the first ``lengths[r]`` bytes
+    of the row are exactly what scalar ``Packet.emit`` produces: the
+    survivors leave as slices of one ``tobytes()`` image.
     """
     if final.size == 0:
         return
@@ -1309,25 +1354,25 @@ def _emit_rows(sp, pc, final, rows_global, items, outputs, device, deparser):
         scatter(pc.mat, pc.cols[ref], all_rows)
     for byte_index, mask in sp.pad_fixups:
         pc.mat[:, byte_index] &= mask
-    extent = sp.w_extent
-    egress = pc.get("meta.egress_spec")
-    to_cpu = pc.get("meta.to_cpu")
-    mat = pc.mat
-    punted = 0
-    total_bytes = 0
-    for r in final.tolist():
-        index = int(rows_global[r])
-        data = items[index][0]
-        wire = mat[r, :extent].tobytes() + data[extent:]
-        out = PortOut(int(egress[r]), wire, bool(to_cpu[r]))
-        outputs[index] = out
-        punted += out.to_cpu
-        total_bytes += len(wire)
+    whole = final.size == pc.m
+    image = (pc.mat if whole else pc.mat[final]).tobytes()
+    stride = pc.mat.shape[1]
+    lengths = pc.lengths if whole else pc.lengths[final]
+    to_cpu = pc.get("meta.to_cpu")[final] != 0
+    start = 0
+    for index, port, length, cpu in zip(
+        rows_global[final].tolist(),
+        pc.get("meta.egress_spec")[final].tolist(),
+        lengths.tolist(),
+        to_cpu.tolist(),
+    ):
+        outputs[index] = PortOut(port, image[start:start + length], cpu)
+        start += stride
     device.packets_out += int(final.size)
-    device.punted += punted
+    device.punted += int(np.count_nonzero(to_cpu))
     if deparser is not None:
         deparser.stats.packets += int(final.size)
-        deparser.stats.bytes_emitted += total_bytes
+        deparser.stats.bytes_emitted += int(lengths.sum())
 
 
 # --------------------------------------------------------------------------
@@ -1413,11 +1458,14 @@ class ColumnarProgram:
 
 
 #: Batches below this row count run scalar without even consulting the
-#: columnar program cache.  Column build + group dispatch cost a few
-#: packets' worth of scalar work per batch, and -- worse -- a tiny
-#: batch against a fresh plan (the fabric rollout's one-packet probe
-#: gate, times a thousand nodes) would pay a full ColumnarProgram
-#: compile it can never amortize.
+#: columnar program cache.  A warm signature group costs a fixed
+#: ~0.45 ms on the base design whatever its row count, a scalar packet
+#: ~70 us: measured crossover 7 rows (IPSA) / 8-9 (PISA) for a
+#: one-signature batch, ~14 when the batch splits into two groups
+#: (dev_l3_fast mix: 2 051 routes, fourteen LPM passes).  Below it a
+#: tiny batch against a fresh plan (the fabric rollout's one-packet
+#: probe gate, times a thousand nodes) would also pay a full
+#: ColumnarProgram compile it can never amortize.
 MIN_BATCH_ROWS = 8
 
 
@@ -1466,7 +1514,6 @@ def try_run_batch(core, items) -> Optional[List[object]]:
     if not runnable:
         return None  # nothing vectorizable: plain scalar loop is cheaper
     outputs: List[object] = [None] * n
-    observe = device._packet_bytes.observe
     for sp, rows in runnable:
         pc = PacketColumns(
             np, mat[rows], lengths[rows], ports[rows],
@@ -1474,12 +1521,11 @@ def try_run_batch(core, items) -> Optional[List[object]]:
         )
         device.packets_in += pc.m
         device.clock += pc.m
-        for length in pc.lengths.tolist():
-            observe(length)
+        device._packet_bytes.observe_many(pc.lengths.tolist())
         if prog.arch == "ipsa":
-            _run_ipsa_group(sp, pc, rows, items, outputs, device)
+            _run_ipsa_group(sp, pc, rows, outputs, device)
         else:
-            _run_pisa_group(sp, pc, rows, items, outputs, device)
+            _run_pisa_group(sp, pc, rows, outputs, device)
     if peel_arrays:
         peeled = np.sort(np.concatenate(peel_arrays))
         _run_scalar_rows(core, items, peeled.tolist(), outputs)

@@ -214,10 +214,10 @@ class IpsaSwitch:
             yield Sample("sketch.columns", sketch.columns, dict(labels), "gauge")
             yield Sample("sketch.rows", len(sketch.rows), dict(labels), "gauge")
 
-    def note_drop(self, reason: DropReason) -> None:
-        """Attribute one (copy-level) drop to a taxonomy reason."""
+    def note_drop(self, reason: DropReason, count: int = 1) -> None:
+        """Attribute ``count`` (copy-level) drops to a taxonomy reason."""
         key = reason.value
-        self.drop_reasons[key] = self.drop_reasons.get(key, 0) + 1
+        self.drop_reasons[key] = self.drop_reasons.get(key, 0) + count
 
     def enable_tracing(self, capacity: int = 256) -> PacketTracer:
         """Attach (and return) a per-packet tracer; idempotent."""

@@ -114,9 +114,9 @@ class PisaSwitch:
         for name, sketch in self.externs.sketches.items():
             yield Sample("sketch.updates", sketch.updates, {"sketch": name})
 
-    def note_drop(self, reason: DropReason) -> None:
+    def note_drop(self, reason: DropReason, count: int = 1) -> None:
         key = reason.value
-        self.drop_reasons[key] = self.drop_reasons.get(key, 0) + 1
+        self.drop_reasons[key] = self.drop_reasons.get(key, 0) + count
 
     def enable_tracing(self, capacity: int = 256) -> PacketTracer:
         if self.tracer is None:

@@ -126,7 +126,8 @@ class ExactEngine:
         return True
 
     def lookup_batch(self, np, cols, m):
-        """Batched lookup: (entry-rank array with -1 for miss, entries)."""
+        """Batched lookup: (entry-rank array with -1 for miss, entries).
+        ``entries`` is the index's own list: one object per version."""
         _version, field_bytes, sorted_recs, entries = self._batch
         if not entries:
             return np.full(m, -1, np.int64), entries
@@ -135,6 +136,10 @@ class ExactEngine:
         clamped = np.minimum(pos, len(entries) - 1)
         hit = sorted_recs[clamped] == query
         return np.where(hit, clamped, -1).astype(np.int64), entries
+
+    def batch_entries(self) -> List[object]:
+        """The entry list batch ranks index: one object per version."""
+        return self._batch[3]
 
     def entries(self) -> List[object]:
         return list(self._entries.values())
@@ -215,6 +220,7 @@ class LpmEngine:
         ):
             return True
         buckets = []
+        entries: List[object] = []  # rank order: longest first, then record
         for plen in sorted(self._by_len, reverse=True):
             items = list(self._by_len[plen].items())
             recs = _pack_key_records(np, [k for k, _ in items], field_bytes)
@@ -222,10 +228,9 @@ class LpmEngine:
                 self._batch = None
                 return False
             order = np.argsort(recs)
-            buckets.append(
-                (plen, recs[order], [items[int(i)][1] for i in order])
-            )
-        self._batch = (self.version, field_bytes, buckets)
+            buckets.append((plen, recs[order], len(entries)))
+            entries.extend(items[i][1] for i in order.tolist())
+        self._batch = (self.version, field_bytes, buckets, entries)
         return True
 
     def _mask_col(self, np, col, prefix_len):
@@ -253,29 +258,29 @@ class LpmEngine:
         return (col >> shift) << shift
 
     def lookup_batch(self, np, exact_cols, lpm_col, m):
-        """Batched longest-prefix match, one masked pass per length."""
-        _version, field_bytes, buckets = self._batch
-        total = sum(len(entries) for _p, _r, entries in buckets)
+        """Batched longest-prefix match, one masked pass per length,
+        until every row is resolved.  Ranks index the flat ``entries``
+        list the index was built with (one object per version)."""
+        _version, field_bytes, buckets, entries = self._batch
         idx = np.full(m, -1, np.int64)
-        entries_all: List[object] = []
-        if not total:
-            return idx, entries_all
         unresolved = np.ones(m, bool)
-        base = 0
-        for plen, sorted_recs, entries in buckets:
-            if unresolved.any():
-                masked = self._mask_col(np, lpm_col, plen)
-                query = _pack_query_records(
-                    np, list(exact_cols) + [masked], field_bytes, m
-                )
-                pos = np.searchsorted(sorted_recs, query)
-                clamped = np.minimum(pos, len(entries) - 1)
-                hit = (sorted_recs[clamped] == query) & unresolved
-                idx[hit] = base + clamped[hit]
-                unresolved &= ~hit
-            entries_all.extend(entries)
-            base += len(entries)
-        return idx, entries_all
+        for plen, sorted_recs, base in buckets:
+            masked = self._mask_col(np, lpm_col, plen)
+            query = _pack_query_records(
+                np, list(exact_cols) + [masked], field_bytes, m
+            )
+            pos = np.searchsorted(sorted_recs, query)
+            clamped = np.minimum(pos, len(sorted_recs) - 1)
+            hit = (sorted_recs[clamped] == query) & unresolved
+            idx[hit] = base + clamped[hit]
+            unresolved &= ~hit
+            if not unresolved.any():
+                break
+        return idx, entries
+
+    def batch_entries(self) -> List[object]:
+        """The entry list batch ranks index: one object per version."""
+        return self._batch[3]
 
     def entries(self) -> List[object]:
         return [e for bucket in self._by_len.values() for e in bucket.values()]
@@ -351,6 +356,7 @@ class HashEngine:
         self._members: List[object] = []
         #: Bumped on every mutation; batch callers cache against it.
         self.version = 0
+        self._batch = None
 
     def insert(self, entry: object) -> None:
         self._members.append(entry)
@@ -369,6 +375,23 @@ class HashEngine:
             return None
         index = flow_hash(list(values)) % len(self._members)
         return self._members[index]
+
+    def batch_entries(self) -> List[object]:
+        """The member list batch ranks index: one object per version."""
+        cached = self._batch
+        if cached is None or cached[0] != self.version:
+            cached = self._batch = (self.version, list(self._members))
+        return cached[1]
+
+    def lookup_batch(self, np, rows):
+        """The scalar flow hash (cheap, exact) over key-value tuples:
+        (member-rank array with -1 when there is no member, members)."""
+        members = self.batch_entries()
+        count = len(members)
+        if not count:
+            return np.full(len(rows), -1, np.int64), members
+        picks = [flow_hash(list(values)) % count for values in rows]
+        return np.array(picks, np.int64), members
 
     def entries(self) -> List[object]:
         return list(self._members)

@@ -328,32 +328,42 @@ class Table:
         engine = self._engine
         m = len(lengths)
         if engine.kind == "hash":
-            idx, entries = self._hash_lookup_rows(np, cols, m)
+            idx, entries = self._hash_lookup_rows(np, cols)
         elif engine.kind == "lpm":
             idx, entries = engine.lookup_batch(np, cols[:-1], cols[-1], m)
         else:
             idx, entries = engine.lookup_batch(np, cols, m)
         hit = idx >= 0
-        hits = int(hit.sum())
+        hits = int(np.count_nonzero(hit))
         self.hit_count += hits
         self.miss_count += m - hits
-        if hits and entries:
-            ranks = idx[hit]
-            counts = np.bincount(ranks, minlength=len(entries))
-            byte_sums = np.zeros(len(entries), np.int64)
-            np.add.at(byte_sums, ranks, lengths[hit].astype(np.int64))
-            for rank, entry in enumerate(entries):
-                count = int(counts[rank])
-                if count:
-                    entry.hits += count
-                    entry.bytes += int(byte_sums[rank])
+        if hits:
+            ranks = idx
+            if hits < m:
+                ranks, lengths = idx[hit], lengths[hit]
+            # Only the entries this batch touched: never a table walk.
+            counts = np.bincount(ranks)
+            byte_sums = np.bincount(ranks, weights=lengths)
+            touched = np.flatnonzero(counts)
+            for rank, count, nbytes in zip(
+                touched.tolist(),
+                counts[touched].tolist(),
+                byte_sums[touched].astype(np.int64).tolist(),
+            ):
+                entry = entries[rank]
+                entry.hits += count
+                entry.bytes += nbytes
         return idx, entries
 
-    def _hash_lookup_rows(self, np, cols, m):
-        """Hash-engine rows keep the scalar flow hash (cheap, exact)."""
-        engine = self._engine
-        entries = engine.entries()
-        rank_of = {id(entry): rank for rank, entry in enumerate(entries)}
+    def batch_entries(self):
+        """The list :meth:`lookup_batch` ranks index (valid after
+        :meth:`prepare_batch`): the same object until the engine's
+        ``version`` moves, so per-entry data derived from it can be
+        cached against that version."""
+        return self._engine.batch_entries()
+
+    def _hash_lookup_rows(self, np, cols):
+        """Hash-engine rows: columns back to python-int key tuples."""
         value_lists = []
         for col in cols:
             if isinstance(col, tuple):
@@ -363,13 +373,7 @@ class Table:
                 )
             else:
                 value_lists.append(col.tolist())
-        idx = np.empty(m, np.int64)
-        for row in range(m):
-            entry = engine.lookup(
-                tuple(values[row] for values in value_lists)
-            )
-            idx[row] = -1 if entry is None else rank_of[id(entry)]
-        return idx, entries
+        return self._engine.lookup_batch(np, list(zip(*value_lists)))
 
     # -- helpers -----------------------------------------------------------
 

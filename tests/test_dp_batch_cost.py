@@ -1,0 +1,147 @@
+"""The cost model of one columnar batch, pinned as call counts.
+
+A TSP's cost is per packet through a fixed template, never per table
+entry and never per flow (PAPER.md Sec. 2-3).  For the columnar path
+that reads: one 256-row ``inject_batch`` does O(rows) NumPy work plus
+a *fixed* number of Python-level calls -- whatever the size of the
+tables it looks up in and however many distinct entries the rows hit.
+
+Wall time cannot gate that (the box has 20% slow spells); the number
+of Python + C calls can: it is deterministic, so the three tests below
+count them with ``sys.setprofile`` on the ``dev_l3_fast`` mix of
+``perf/`` (70/30 IPv4/IPv6 to the routed networks, /18../30 routes
+under 10.2/16) and print what they measured -- run with ``-rA`` to
+read the counts off a green log.
+
+The one cost that *is* per table shape, by design, is the LPM pass
+count: one masked probe per installed prefix length until every row
+is resolved.  The extra routes therefore all sit in 10.2.0.0/17 and
+every burst carries rows for 10.2.128.0/17, which only the base
+design's /16 matches -- so every ``ipv4_lpm`` lookup below makes the
+same fourteen passes, and what is left to differ is what must not.
+"""
+
+import random
+import sys
+
+import pytest
+
+pytest.importorskip("numpy")
+
+from repro.net.addresses import format_ipv4, parse_ipv4  # noqa: E402
+from repro.programs import base_rp4_source, populate_base_tables  # noqa: E402
+from repro.runtime import Controller  # noqa: E402
+from repro.tables.table import TableEntry  # noqa: E402
+from repro.workloads import ipv4_packet, ipv6_packet  # noqa: E402
+
+BURST = 256
+V4_ROWS = round(BURST * 0.7)
+ROUTED_NET = parse_ipv4("10.2.0.0")
+PREFIX_LENGTHS = range(18, 31)
+
+#: Calls one burst may cost on the 2 048-route, many-flow mix: the
+#: measured 2 779 (CPython 3.11, NumPy 2.4) + 15%.  The parent of the
+#: per-action dispatch measured 4 764 on the same burst (4 094 with 16
+#: routes, 3 930 with one flow per family).
+CALL_BUDGET = 3195
+
+
+def _routes(count):
+    """``count`` distinct prefixes under 10.2.0.0/17, the first thirteen
+    covering every length of ``PREFIX_LENGTHS`` (a short list is a
+    prefix of a longer one)."""
+    rng = random.Random(23)
+    routes = {}
+    while len(routes) < count:
+        if len(routes) < len(PREFIX_LENGTHS):
+            plen = PREFIX_LENGTHS[len(routes)]
+        else:
+            plen = rng.choice(PREFIX_LENGTHS)
+        host = rng.getrandbits(15) >> (32 - plen) << (32 - plen)
+        routes.setdefault((ROUTED_NET | host, plen), 1 + len(routes) % 3)
+    return routes
+
+
+def _switch(n_routes):
+    controller = Controller()
+    controller.load_base(base_rp4_source())
+    switch = controller.switch
+    populate_base_tables(switch.tables)
+    for (value, plen), nexthop in _routes(n_routes).items():
+        switch.tables["ipv4_lpm"].add_entry(TableEntry(
+            key=(1, (value, plen)), action="set_nexthop",
+            action_data={"nexthop": nexthop}, tag=1,
+        ))
+    return switch
+
+
+def _burst(v4_pool, v6_pool, seed=7):
+    """One 256-packet burst at the 70/30 mix over the given
+    destination pools, min-size frames, shuffled."""
+    rng = random.Random(seed)
+    items = [
+        (ipv4_packet("10.1.0.1", format_ipv4(rng.choice(v4_pool)),
+                     sport=1024 + i, payload=bytes(22)), i % 2)
+        for i in range(V4_ROWS)
+    ] + [
+        (ipv6_packet("2001:db8:1::1", f"2001:db8:2::{rng.choice(v6_pool):x}",
+                     sport=1024 + i, payload=bytes(2)), i % 2)
+        for i in range(BURST - V4_ROWS)
+    ]
+    rng.shuffle(items)
+    return items
+
+
+def _many_flows():
+    rng = random.Random(1024)
+    return (
+        [ROUTED_NET | rng.getrandbits(16) for _ in range(1024)],
+        [rng.randrange(1, 1 << 16) for _ in range(1024)],
+    )
+
+
+def _calls_per_burst(switch, items):
+    """Python + C calls of one warm ``inject_batch`` (the first two
+    compile the signature plans and build the batch indexes)."""
+    for _ in range(2):
+        assert switch.inject_batch(items).forwarded == len(items)
+    calls = 0
+
+    def count(_frame, event, _arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        result = switch.inject_batch(items)
+    finally:
+        sys.setprofile(None)
+    assert result.forwarded == len(items)
+    assert switch.dp._columnar is not None  # it ran on the fast path
+    return calls
+
+
+def test_calls_do_not_grow_with_the_table():
+    items = _burst(*_many_flows())
+    small = _calls_per_burst(_switch(16), items)
+    large = _calls_per_burst(_switch(2048), items)
+    print(f"calls per {BURST}-row burst: {small} @ 16 routes, "
+          f"{large} @ 2048 routes")
+    assert abs(large - small) <= 0.02 * small
+
+
+def test_calls_do_not_grow_with_the_flow_count():
+    lone = ROUTED_NET | 0x8001  # in 10.2.128.0/17: resolves at the /16
+    one = _calls_per_burst(_switch(2048), _burst([lone], [1]))
+    many = _calls_per_burst(_switch(2048), _burst(*_many_flows()))
+    print(f"calls per {BURST}-row burst: {one} @ 1 flow per family, "
+          f"{many} @ 1024 flows per family")
+    assert abs(many - one) <= 0.10 * one
+
+
+def test_calls_stay_within_the_absolute_budget():
+    calls = _calls_per_burst(_switch(2048), _burst(*_many_flows()))
+    print(f"calls per {BURST}-row burst: {calls} @ 2048 routes, "
+          f"1024 flows per family (budget {CALL_BUDGET})")
+    assert calls <= CALL_BUDGET

@@ -15,6 +15,8 @@ packets (varbit INT stacks, short frames, unknown EtherTypes) are
 peeled out of an otherwise homogeneous batch.
 """
 
+import random
+
 import pytest
 
 from repro.bench.scenarios import (
@@ -60,11 +62,20 @@ def _effects(switch):
             name: (table.hit_count, table.miss_count)
             for name, table in switch.tables.items()
         },
+        "entries": {
+            name: sorted(
+                (repr(e.key), e.tag, e.hits, e.bytes) for e in table.entries()
+            )
+            for name, table in switch.tables.items()
+        },
     }
     pipeline = switch.pipeline
     if hasattr(pipeline, "tsps"):
         effects["tsps"] = [
-            (t.stats.packets, t.stats.lookups, t.stats.actions_run)
+            (
+                t.stats.packets, t.stats.lookups, t.stats.headers_parsed,
+                t.stats.actions_run,
+            )
             for t in pipeline.tsps
         ]
     else:
@@ -213,6 +224,220 @@ def test_mixed_divergent_batch_preserves_order(arch):
     assert len(fast_batch) == len(items)
     assert _wire(list(scalar_batch)) == _wire(list(fast_batch))
     assert _effects(scalar) == _effects(fast)
+
+
+def _two_action_switch(arch):
+    """The base design with ``nexthop`` entries free to pick between
+    two actions whose parameter sets differ: ``set_bd_dmac(bd, dmac)``
+    and ``set_bd_vrf(bd, vrf)``."""
+    from repro.pisa.switch import PisaSwitch
+    from repro.programs import (
+        base_p4_source,
+        base_rp4_source,
+        populate_base_tables,
+    )
+    from repro.runtime import Controller
+
+    if arch == "ipsa":
+        old = "1: set_bd_dmac;\n            default: drop;"
+        source = base_rp4_source()
+        assert source.count(old) == 1
+        controller = Controller()
+        controller.load_base(
+            source.replace(old, "2: set_bd_vrf;\n            " + old)
+        )
+        switch = controller.switch
+    else:
+        old = "actions = { set_bd_dmac; drop; }"
+        source = base_p4_source()
+        assert source.count(old) == 1
+        switch = PisaSwitch(n_stages=8)
+        switch.load(
+            source.replace(old, "actions = { set_bd_dmac; set_bd_vrf; drop; }")
+        )
+    populate_base_tables(switch.tables)
+    return switch
+
+
+@pytest.mark.parametrize("arch", ["ipsa", "pisa"])
+class TestColumnarActionDispatch:
+    """Per-action dispatch and touched-entry counters vs the scalar
+    loop: the columnar path runs each action kernel once per batch
+    over parameter *columns* and bumps only the entries a batch hit,
+    so per-entry hits/bytes, every stage stat and every drop reason
+    must still equal the per-packet interpreter's."""
+
+    BURST = 64
+
+    @staticmethod
+    def _route(switch, table, key, nexthop):
+        from repro.tables.table import TableEntry
+
+        switch.tables[table].add_entry(TableEntry(
+            key=key, action="set_nexthop", action_data={"nexthop": nexthop},
+            tag=1,
+        ))
+
+    def _assert_parity(self, scalar, fast, items):
+        from repro.dp import columnar
+
+        scalar.dp.columnar_enabled = False
+        for start in range(0, len(items), self.BURST):
+            burst = items[start:start + self.BURST]
+            assert _wire(list(scalar.inject_batch(burst))) == _wire(
+                list(fast.inject_batch(burst))
+            )
+        assert _effects(scalar) == _effects(fast)
+        if columnar._numpy() is not None:  # else: scalar vs scalar
+            sigs = fast.dp._columnar[1].sigs
+            assert any(sp is not None for sp in sigs.values())
+
+    def test_large_lpm_table_under_zipf_flows_with_misses(self, arch):
+        from repro.workloads import ipv4_packet
+
+        rng = random.Random(5)
+        prefixes = set()
+        while len(prefixes) < 2048:
+            plen = rng.choice((12, 16, 20, 24, 28, 32))
+            prefixes.add((rng.getrandbits(plen) << (32 - plen), plen))
+        switches = [make_switch(arch, "base") for _ in range(2)]
+        for switch in switches:
+            table = switch.tables["ipv4_lpm"]
+            default = next(e for e in table.entries() if e.key[1] == (0, 0))
+            table.remove_entry(default)  # no default route: misses drop
+            for value, plen in sorted(prefixes):
+                self._route(
+                    switch, "ipv4_lpm", (1, (value, plen)), 1 + value % 3
+                )
+        routed = [
+            value | rng.getrandbits(32 - plen)
+            for value, plen in rng.sample(sorted(prefixes), 240)
+        ]
+        flows = routed + [rng.getrandbits(32) for _ in range(60)]
+        rng.shuffle(flows)
+        weights = [1 / (rank + 1) ** 1.1 for rank in range(len(flows))]
+        items = [
+            (ipv4_packet("10.1.0.1", dst, payload=bytes(rng.randrange(24))),
+             rng.randrange(2))
+            for dst in rng.choices(flows, weights, k=640)
+        ]
+        self._assert_parity(*switches, items)
+        table = switches[1].tables["ipv4_lpm"]
+        assert table.miss_count and table.hit_count
+        assert sum(e.hits for e in table.entries()) == table.hit_count
+
+    def test_one_table_two_actions_in_one_batch(self, arch):
+        from repro.net.addresses import parse_ipv4, parse_mac
+        from repro.programs.base_l2l3 import ROUTER_MAC
+        from repro.tables.table import TableEntry
+        from repro.workloads import ipv4_packet
+
+        switches = [_two_action_switch(arch) for _ in range(2)]
+        for switch in switches:
+            for third_octet, nexthop in ((3, 4), (4, 5), (5, 6)):
+                self._route(
+                    switch, "ipv4_lpm",
+                    (1, (parse_ipv4(f"10.{third_octet}.0.0"), 16)), nexthop,
+                )
+            # nexthops 4 and 5 re-bridge instead of rewriting the DMAC;
+            # only bd 1 resolves the (unchanged) router MAC at egress,
+            # and nexthop 6 has no entry at all (default: drop).
+            for nexthop, bd in ((4, 1), (5, 2)):
+                switch.tables["nexthop"].add_entry(TableEntry(
+                    key=(nexthop,), action="set_bd_vrf",
+                    action_data={"bd": bd, "vrf": 7}, tag=2,
+                ))
+            switch.tables["dmac"].add_entry(TableEntry(
+                key=(1, parse_mac(ROUTER_MAC)), action="set_egress_port",
+                action_data={"port": 3}, tag=1,
+            ))
+        items = [
+            (ipv4_packet("10.1.0.1", f"10.{1 + i % 5}.0.{1 + i % 9}",
+                         sport=2000 + i), i % 2)
+            for i in range(3 * self.BURST)
+        ]
+        self._assert_parity(*switches, items)
+        entries = switches[1].tables["nexthop"].entries()
+        for action in ("set_bd_dmac", "set_bd_vrf"):
+            assert sum(e.hits for e in entries if e.action == action)
+        assert switches[1].drop_reasons  # both the miss and the egress drop
+
+    def test_wide_keys_and_hash_engine(self, arch):
+        from repro.net.addresses import parse_ipv6
+        from repro.tables.table import TableEntry
+        from repro.workloads import ipv4_packet, ipv6_packet
+
+        rng = random.Random(11)
+        switches = [make_switch(arch, "C1") for _ in range(2)]
+        for switch in switches:
+            for subnet in range(40):
+                self._route(
+                    switch, "ipv6_lpm",
+                    (1, (parse_ipv6(f"2001:db8:2:{subnet:x}::"), 64)),
+                    1 + subnet % 3,
+                )
+            for host in range(1, 20):
+                self._route(
+                    switch, "ipv6_host",
+                    (1, parse_ipv6(f"2001:db8:2:{host:x}::{host:x}")),
+                    1 + host % 3,
+                )
+        items = []
+        for i in range(4 * self.BURST):
+            subnet = rng.randrange(48)  # 40..47 only match the /48
+            host = subnet if rng.random() < 0.3 else rng.randrange(1, 500)
+            if i % 4 == 3:
+                data = ipv4_packet("10.1.0.1", f"10.2.{subnet}.{1 + host % 200}")
+            elif i % 16 == 0:
+                data = ipv6_packet("2001:db8:1::1", f"2001:db9::{host:x}")
+            else:
+                data = ipv6_packet(
+                    "2001:db8:1::1", f"2001:db8:2:{subnet:x}::{host:x}",
+                    payload=bytes(i % 7),
+                )
+            items.append((data, i % 2))
+        self._assert_parity(*switches, items)
+        tables = switches[1].tables
+        assert tables["ipv6_host"].hit_count and tables["ipv6_host"].miss_count
+        for name in ("ecmp_ipv4", "ecmp_ipv6"):
+            assert sum(1 for e in tables[name].entries() if e.hits) > 1
+
+    def test_entry_missing_a_parameter_fails_like_scalar(self, arch):
+        from repro.dp import columnar
+        from repro.net.addresses import parse_ipv4
+        from repro.tables.table import TableEntry
+        from repro.workloads import ipv4_packet
+
+        def build():
+            switch = make_switch(arch, "base")
+            self._route(
+                switch, "ipv4_lpm", (1, (parse_ipv4("10.7.0.0"), 16)), 7
+            )
+            switch.tables["nexthop"].add_entry(TableEntry(
+                key=(7,), action="set_bd_dmac", action_data={"bd": 2}, tag=1,
+            ))
+            return switch
+
+        items = [
+            (ipv4_packet("10.1.0.1", "10.7.0.9" if i == 11 else "10.2.0.9",
+                         sport=4000 + i), 0)
+            for i in range(32)
+        ]
+        scalar, fast, untouched = build(), build(), build()
+        scalar.dp.columnar_enabled = False
+        failures = []
+        for switch in (scalar, fast):
+            with pytest.raises(KeyError) as raised:
+                switch.inject_batch(items)
+            failures.append(str(raised.value))
+        assert failures[0] == failures[1]
+        assert "set_bd_dmac" in failures[0] and "dmac" in failures[0]
+        assert _effects(scalar) == _effects(fast)
+        assert scalar.packets_in == 12  # died on the offending packet
+        # The columnar attempt itself declines before any side effect.
+        pristine = _effects(untouched)
+        assert columnar.try_run_batch(untouched.dp, items) is None
+        assert _effects(untouched) == pristine
 
 
 class TestColumnarIntShimPeel:

@@ -84,6 +84,29 @@ class TestHistogram:
         assert h.count == 4
         assert h.sum == 10 + 70 + 70 + 500
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (),
+            (64,),
+            (63, 64, 65, 128, 129, 256, 257, 10**6),  # on, beside, past edges
+            tuple(range(40, 300, 7)) * 3,  # unsorted repeats
+            (2**40 + 1, 2**40 + 3, 60),  # integer sum stays exact
+        ],
+    )
+    def test_observe_many_equals_repeated_observe(self, values):
+        one = Histogram("bytes", bounds=(64, 128, 256))
+        many = Histogram("bytes", bounds=(64, 128, 256))
+        for histogram in (one, many):
+            histogram.observe(100)  # lands on top of earlier observations
+        for value in values:
+            one.observe(value)
+        many.observe_many(list(values))
+        assert many.bucket_counts == one.bucket_counts
+        assert many.count == one.count == 1 + len(values)
+        assert many.sum == one.sum == 100 + sum(values)
+        assert many.snapshot() == one.snapshot()
+
     def test_samples_expand_to_bucket_count_sum(self):
         h = Histogram("lat", bounds=(1,))
         h.observe(0.5)

@@ -144,6 +144,81 @@ class TestHashEngine:
             HashEngine().remove_member(0)
 
 
+class TestBatchIndexEntries:
+    """Batch ranks index one ``entries`` list per engine version: the
+    columnar dispatch caches per-rank data against ``engine.version``,
+    which is only sound while the list it ranks into is that stable."""
+
+    @pytest.fixture
+    def np(self):
+        return pytest.importorskip("numpy")
+
+    @staticmethod
+    def _col(np, *values):
+        return np.array(values, np.uint64)
+
+    def test_exact_entries_are_one_object_per_version(self, np):
+        e = ExactEngine()
+        for key in (7, 3, 5):
+            e.insert((key,), f"e{key}")
+        assert e.build_batch_index(np, (8,))
+        idx, first = e.lookup_batch(np, [self._col(np, 5, 9, 3)], 3)
+        assert [first[i] if i >= 0 else None for i in idx.tolist()] == [
+            "e5", None, "e3"
+        ]
+        assert e.build_batch_index(np, (8,))
+        _idx, again = e.lookup_batch(np, [self._col(np, 7)], 1)
+        assert again is first is e.batch_entries()
+        e.insert((9,), "e9")
+        assert e.build_batch_index(np, (8,))
+        assert e.batch_entries() is not first
+        stale = e.batch_entries()
+        e.remove((9,))
+        assert e.build_batch_index(np, (8,))
+        assert e.batch_entries() is not stale
+        assert e.batch_entries() == first
+
+    def test_lpm_entries_are_longest_first_then_sorted_record(self, np):
+        e = LpmEngine(exact_count=1, lpm_width=32)
+        routes = [
+            (1, 0x0A000000, 8), (1, 0x0A020000, 16), (2, 0x0A010000, 16),
+            (1, 0x0A010000, 16), (1, 0, 0), (1, 0x0A010100, 24),
+        ]
+        for vrf, value, plen in routes:
+            e.insert((vrf,), value, plen, (plen, vrf, value))
+        assert e.build_batch_index(np, (8, 8))
+        entries = e.batch_entries()
+        assert entries == sorted(entries, key=lambda r: (-r[0], r[1], r[2]))
+        query = self._col(np, 0x0A010105, 0x0A0200FF, 0x0B000000)
+        vrf = self._col(np, 1, 1, 1)
+        idx, first = e.lookup_batch(np, [vrf], query, 3)
+        assert first is entries
+        assert [entries[i] for i in idx.tolist()] == [
+            (24, 1, 0x0A010100), (16, 1, 0x0A020000), (0, 1, 0),
+        ]
+        assert e.build_batch_index(np, (8, 8))
+        _idx, again = e.lookup_batch(np, [vrf], query, 3)
+        assert again is entries
+        e.remove((1,), 0x0A010100, 24)
+        assert e.build_batch_index(np, (8, 8))
+        assert e.batch_entries() is not entries
+        assert len(e.batch_entries()) == len(entries) - 1
+
+    def test_hash_members_are_one_snapshot_per_version(self, np):
+        e = HashEngine()
+        idx, members = e.lookup_batch(np, [(1, 2)])
+        assert idx.tolist() == [-1] and members == []
+        for i in range(4):
+            e.insert(f"m{i}")
+        rows = [(f, f * 7) for f in range(30)]
+        idx, members = e.lookup_batch(np, rows)
+        assert [members[i] for i in idx.tolist()] == [e.lookup(r) for r in rows]
+        assert e.lookup_batch(np, rows)[1] is members
+        e.remove_member(1)
+        assert e.batch_entries() is not members
+        assert members == ["m0", "m1", "m2", "m3"]  # a snapshot, not a view
+
+
 class TestMatchKindRegistry:
     """engines.py is the single source of truth for match kinds: the
     rP4/P4 parsers, the validator, and rp4lint all import from here."""
