@@ -1,7 +1,7 @@
 """Shared fixtures for the evaluation benchmarks.
 
 Scenario construction lives in :mod:`repro.bench.scenarios` (shared
-with the continuous harness and ``ipbm-ctl profile``); this module
+with the parity tests and ``ipbm-ctl profile``); this module
 keeps the benchmark-suite-facing names and adds a graceful degrade:
 when the pytest-benchmark plugin is missing (not installed, or
 disabled with ``-p no:benchmark``), the suite skips instead of

@@ -1413,7 +1413,7 @@ class VerifyConfig:
     max_classes: int = 4096
     #: Enumerate flow classes even when the structural tier finds no
     #: unclaimed drift (the gate's fast path skips enumeration; the
-    #: CLI, bench, and tests run exhaustively).
+    #: CLI and tests run exhaustively).
     exhaustive: bool = False
     #: Synthesize witness packets for divergent classes.
     witnesses: bool = True

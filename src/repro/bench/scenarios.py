@@ -1,5 +1,5 @@
-"""The workload matrix shared by the bench harness, the CLI's
-``profile`` subcommand, and the evaluation benchmarks.
+"""The scenario builders shared by the CLI's ``profile`` / ``int``
+subcommands, the soak, the parity tests and the evaluation benchmarks.
 
 A *scenario* is (switch architecture, use case): the IPSA device with
 the base L2/L3 design plus (optionally) one in-situ-loaded use case,
@@ -38,8 +38,7 @@ from repro.workloads.traces import mixed_l3_trace, use_case_trace
 
 Trace = List[Tuple[bytes, int]]
 
-#: Everything the matrix runs: the base design plus the paper's three
-#: runtime-loaded use cases.
+#: The base design plus the paper's three runtime-loaded use cases.
 CASES = ("base", "C1", "C2", "C3")
 SWITCHES = ("ipsa", "pisa")
 
@@ -67,24 +66,6 @@ CASE_ARTIFACTS = {
         flowprobe_p4_source,
     ),
 }
-
-
-#: Minimum trace length for a *profiled* matrix run.  At the plain
-#: cells' 300--1000 packets the profiler's measured overhead read
-#: 74--96% and wandered tens of points between runs -- per-hook timer
-#: cost plus scheduler jitter swamped the signal and made phase shares
-#: unreliable.  Profiled runs therefore replay at least this many
-#: packets regardless of the plain cell's trace size (the plain run
-#: keeps its own size: its wall-clock budget belongs to the matrix).
-PROFILE_MIN_PACKETS = 4000
-#: Smoke-mode floor: enough packets to stabilize phase shares without
-#: blowing the sub-second-per-cell CI budget.
-PROFILE_SMOKE_MIN_PACKETS = 600
-
-
-def profile_packet_floor(mode: str = "full") -> int:
-    """The profiled-run packet floor for a harness mode."""
-    return PROFILE_SMOKE_MIN_PACKETS if mode == "smoke" else PROFILE_MIN_PACKETS
 
 
 def check_case(case: str) -> str:
@@ -141,112 +122,6 @@ def case_trace(case: str, n_packets: int, seed: int = 23) -> Trace:
     if case == "base":
         return mixed_l3_trace(n_packets, seed=seed)
     return use_case_trace(case, n_packets, seed=seed)
-
-
-def run_case(arch: str, case: str, n_packets: int, seed: int = 23):
-    """Build the scenario and replay its trace through the batch
-    front door; returns ``(switch, BatchResult)``."""
-    switch = make_switch(arch, case)
-    return switch, switch.inject_batch(case_trace(case, n_packets, seed=seed))
-
-
-# -- update-stall scenario -------------------------------------------------
-
-#: Update paths the stall scenario compares: the transactional
-#: prepare/commit engine vs the pre-refactor stop-the-world baseline.
-STALL_PATHS = ("txn", "inplace")
-#: In-flight TM packets seeded before the update fires.
-STALL_INFLIGHT = 16
-
-
-def _measure_stall_once(
-    case: str, path: str, n_packets: int, seed: int
-) -> dict:
-    script, snippet, name, populate, _ = CASE_ARTIFACTS[case]
-    controller = make_ipsa_controller("base")
-    switch = controller.switch
-
-    # Mid-flight traffic: packets already past ingress, parked in the
-    # TM when the update arrives.  The in-place path discards them;
-    # the transactional commit completes them through the old plans.
-    from repro.dp.exec import run_tsp_plan
-    from repro.dp.hooks import resolve_hooks
-
-    plan = switch.dp.plan()
-    hooks = resolve_hooks(switch)
-    for data, port in mixed_l3_trace(STALL_INFLIGHT, seed=seed + 1):
-        packet = switch.dp.new_packet(data, port)
-        for tsp_plan in plan.ingress:
-            run_tsp_plan(tsp_plan, packet, switch, hooks)
-        if not packet.metadata.get("drop"):
-            switch.pipeline.tm.enqueue(packet)
-    # Upstream traffic: parked at the intake behind back pressure.
-    for data, port in mixed_l3_trace(n_packets, seed=seed):
-        switch.enqueue(data, port)
-
-    if path == "txn":
-        staged = controller.stage_update(script(), {name: snippet()})
-        # Old plans keep serving while the shadow state is prepared.
-        served_during = len(switch.pump())
-        _plan, stats, _timing = staged.commit()
-    else:
-        from repro.compiler.rp4bc import compile_update
-
-        plan = compile_update(
-            controller.design, script(), {name: snippet()}
-        )
-        update = plan.update_message(controller.design.config)
-        served_during = 0  # stop-the-world: everything waits
-        stats = switch.apply_update_inplace(update)
-
-    populate(switch.tables)
-    served_after = len(switch.pump())
-    return {
-        "case": case,
-        "path": path,
-        "packets": n_packets,
-        "inflight": STALL_INFLIGHT,
-        "stall_ns": stats.stall_seconds * 1e9,
-        "drained_packets": stats.drained_packets,
-        "completed_inflight": stats.completed_packets,
-        "served_during_update": served_during,
-        "served_after": served_after,
-    }
-
-
-def measure_update_stall(
-    case: str,
-    path: str,
-    n_packets: int = 60,
-    seed: int = 23,
-    best_of: int = 3,
-) -> dict:
-    """The traffic-visible cost of one in-situ update (paper Sec. 5.3).
-
-    Seeds :data:`STALL_INFLIGHT` packets mid-flight in the TM, parks
-    ``n_packets`` more at the intake, then applies ``case``'s update
-    over ``path`` (``txn`` or ``inplace``).  Reports the stall window,
-    how many in-flight packets were discarded vs completed, and how
-    much intake traffic was served *during* the update.  ``best_of``
-    fresh runs are taken and the minimum-stall one reported (the stall
-    is microseconds; scheduler jitter dominates a single sample).
-    """
-    check_case(case)
-    if case not in CASE_ARTIFACTS:
-        raise ValueError(
-            f"update-stall needs an update to apply; case {case!r} has none"
-        )
-    if path not in STALL_PATHS:
-        raise ValueError(
-            f"unknown path {path!r} (expected one of {STALL_PATHS})"
-        )
-    if best_of <= 0:
-        raise ValueError("best_of must be positive")
-    runs = [
-        _measure_stall_once(case, path, n_packets, seed)
-        for _ in range(best_of)
-    ]
-    return min(runs, key=lambda run: run["stall_ns"])
 
 
 # -- INT scenarios ---------------------------------------------------------
@@ -339,270 +214,7 @@ def make_int_fabric(n_nodes: int = 3, clock=None, strip: str = "edge"):
     return fabric, collector
 
 
-def _time_batch(switch, trace: Trace) -> float:
-    """Wall seconds for one batch replay."""
-    import time
-
-    start = time.perf_counter()
-    switch.inject_batch(trace)
-    return time.perf_counter() - start
-
-
-def measure_int_overhead(
-    n_packets: int = 400, seed: int = 23, best_of: int = 3
-) -> dict:
-    """Per-packet cost of INT instrumentation on one IPSA device.
-
-    Replays an all-watched trace through the base design (stack off)
-    and through base + ``int_insert`` with timestamping enabled (stack
-    on); every packet pays a shim insert plus one hop-record push.
-    ``best_of`` fresh runs per mode, minimum wall time reported.
-
-    Both legs run the scalar interpreter: the INT clock pins the
-    front door to the scalar loop, so the off leg disables the
-    columnar batch path too -- otherwise the cell would report the
-    columnar speedup as INT overhead.
-    """
-    from repro.obs.intcol import IntCollector
-    from repro.programs import (
-        int_load_script,
-        int_rp4_source,
-        populate_int_tables,
-    )
-    from repro.workloads import ipv4_packet
-
-    if best_of <= 0:
-        raise ValueError("best_of must be positive")
-    trace: Trace = [
-        (ipv4_packet("10.1.0.1", "10.2.0.1", sport=1024 + (i % 4096)), 0)
-        for i in range(n_packets)
-    ]
-
-    def scalar_base():
-        switch = make_ipsa("base")
-        switch.dp.columnar_enabled = False
-        return switch
-
-    off_seconds = min(
-        _time_batch(scalar_base(), trace) for _ in range(best_of)
-    )
-
-    on_seconds = None
-    last_result = None
-    for _ in range(best_of):
-        controller = make_ipsa_controller("base")
-        controller.run_script(
-            int_load_script(), {"int.rp4": int_rp4_source()}
-        )
-        populate_int_tables(controller.switch.tables, switch_id=1)
-        controller.switch.enable_int()
-        import time
-
-        start = time.perf_counter()
-        result = controller.switch.inject_batch(trace)
-        elapsed = time.perf_counter() - start
-        if on_seconds is None or elapsed < on_seconds:
-            on_seconds = elapsed
-            last_result = result
-
-    collector = IntCollector()
-    for out in last_result:
-        if out is not None:
-            collector.ingest(out.data)
-    hop_records = collector.summary()["hop_records"]
-
-    ns_off = off_seconds * 1e9 / n_packets
-    ns_on = on_seconds * 1e9 / n_packets
-    return {
-        "packets": n_packets,
-        "ns_per_pkt_off": ns_off,
-        "ns_per_pkt_on": ns_on,
-        "overhead_ns_per_pkt": ns_on - ns_off,
-        "overhead_pct": (ns_on - ns_off) / ns_off * 100.0 if ns_off else 0.0,
-        "hop_records": hop_records,
-    }
-
-
-# -- health-engine overhead scenario ----------------------------------------
-
-
-def measure_health_overhead(
-    n_packets: int = 1600,
-    seed: int = 23,
-    best_of: int = 9,
-    tick_every: int = 400,
-) -> dict:
-    """Per-packet cost of the streaming health engine on one device.
-
-    The engine is strictly off the forwarding path -- devices never
-    call into it -- so the only cost is the amortized evaluation tick
-    (one registry ``collect()`` per source per tick, a few hundred
-    microseconds).  This cell keeps that claim honest: the same trace
-    is replayed with no engine and with a :class:`~repro.obs.health.
-    HealthEngine` running the stock rule set, ticked every
-    ``tick_every`` packets -- a conservative duty cycle (a periodic
-    production tick spans far more traffic than 400 packets).  Off/on
-    runs are interleaved so slow machine drift cancels instead of
-    charging one mode; ``best_of`` runs per mode, minimum wall time
-    reported.  The collector is paused inside both timed regions:
-    gc-pass cost scales with process-wide live objects (i.e. with
-    whatever ran before this cell), and the tick's small allocations
-    would otherwise bill that unrelated heap to the "on" mode.
-    """
-    import gc
-    import time
-
-    from repro.obs.clock import ManualClock
-    from repro.obs.health import HealthEngine, default_rules
-
-    if best_of <= 0:
-        raise ValueError("best_of must be positive")
-    if tick_every <= 0:
-        raise ValueError("tick_every must be positive")
-    trace = case_trace("base", n_packets, seed=seed)
-    chunks = [
-        trace[i:i + tick_every] for i in range(0, len(trace), tick_every)
-    ]
-    rules = default_rules()
-
-    off_seconds = None
-    on_seconds = None
-    ticks = 0
-    gc_was_enabled = gc.isenabled()
-    try:
-        for _ in range(best_of):
-            switch = make_ipsa("base")
-            gc.collect()  # inherited garbage must not bill either mode
-            gc.disable()
-            start = time.perf_counter()
-            for chunk in chunks:
-                switch.inject_batch(chunk)
-            elapsed = time.perf_counter() - start
-            if gc_was_enabled:
-                gc.enable()
-            if off_seconds is None or elapsed < off_seconds:
-                off_seconds = elapsed
-
-            switch = make_ipsa("base")
-            engine = HealthEngine(clock=ManualClock(tick=0.5))
-            engine.install(rules)
-            engine.add_source("bench", switch.metrics, switch=switch)
-            ticks = 0
-            gc.collect()
-            gc.disable()
-            start = time.perf_counter()
-            for chunk in chunks:
-                switch.inject_batch(chunk)
-                engine.tick()
-                ticks += 1
-            elapsed = time.perf_counter() - start
-            if gc_was_enabled:
-                gc.enable()
-            if on_seconds is None or elapsed < on_seconds:
-                on_seconds = elapsed
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-    ns_off = off_seconds * 1e9 / n_packets
-    ns_on = on_seconds * 1e9 / n_packets
-    return {
-        "packets": n_packets,
-        "ns_per_pkt_off": ns_off,
-        "ns_per_pkt_on": ns_on,
-        "overhead_ns_per_pkt": ns_on - ns_off,
-        "overhead_pct": (ns_on - ns_off) / ns_off * 100.0 if ns_off else 0.0,
-        "ticks": ticks,
-        "rules": len(rules),
-    }
-
-
-# -- rp4verify latency scenario ---------------------------------------------
-
-#: Snippets whose staged update the verify-latency cell measures, in
-#: rough flow-class-count order (program size is the x-axis).
-VERIFY_PROGRAMS = ("acl.rp4", "qos.rp4", "srv6.rp4", "ecmp.rp4", "int.rp4")
-VERIFY_SMOKE_PROGRAMS = ("acl.rp4", "ecmp.rp4")
-
-
-def measure_verify_latency(
-    programs: Tuple[str, ...] = VERIFY_PROGRAMS,
-    best_of: int = 3,
-    max_classes: int = 4096,
-) -> dict:
-    """Exhaustive rp4verify latency vs staged-program size.
-
-    Each base+snippet composition is staged once (prepare + validate,
-    never committed); the symbolic differential verifier then runs
-    ``best_of`` times over the same prepared shadow with exhaustive
-    flow-class enumeration, minimum wall time reported.  Witness
-    synthesis and replay confirmation are left on (the gate's real
-    configuration) -- on these known-safe updates they cost nothing
-    because no divergences exist to confirm, which is itself part of
-    the claim the cell tracks.  Same gc discipline as the overhead
-    cells: a pre-run ``collect()`` so inherited garbage bills nobody,
-    collector paused inside the timed region.
-    """
-    import gc
-
-    from repro.analysis.verify import DeviceView, VerifyConfig, verify_txn
-    from repro.analysis.verify_cli import (
-        _script_source_names,
-        shipped_snippets,
-    )
-
-    if best_of <= 0:
-        raise ValueError("best_of must be positive")
-    snippets = shipped_snippets()
-    config = VerifyConfig(exhaustive=True, max_classes=max_classes)
-    cells: List[dict] = []
-    gc_was_enabled = gc.isenabled()
-    for name in programs:
-        source, script = snippets[name]
-        controller = Controller(lint_updates=False, verify_updates="off")
-        controller.load_base(base_rp4_source())
-        populate_base_tables(controller.switch.tables)
-        sources = {key: source for key in _script_source_names(script)}
-        staged = controller.stage_update(script, sources)
-        try:
-            stages = len(DeviceView.from_txn(staged.txn).schedule)
-            best: dict = {}
-            for _ in range(best_of):
-                gc.collect()
-                gc.disable()
-                try:
-                    report = verify_txn(
-                        controller.switch, staged.txn, plan=staged.plan,
-                        config=config, path=f"base_l2l3+{name}",
-                    )
-                finally:
-                    if gc_was_enabled:
-                        gc.enable()
-                if not best or report.seconds < best["seconds"]:
-                    best = {
-                        "seconds": report.seconds,
-                        "classes": len(report.classes),
-                        "unintended": len(report.unintended),
-                        "truncated": report.truncated,
-                    }
-            cells.append({
-                "update": f"base_l2l3+{name}",
-                "stages": stages,
-                "classes": best["classes"],
-                "unintended": best["unintended"],
-                "truncated": best["truncated"],
-                "ms": best["seconds"] * 1e3,
-            })
-        finally:
-            staged.abort()
-    return {
-        "best_of": best_of,
-        "max_classes": max_classes,
-        "cells": cells,
-    }
-
-
-# -- fabric scale: serial vs sharded fleet rollout ---------------------------
+# -- fleet scenario ----------------------------------------------------------
 
 
 def make_fleet(n_nodes: int, populate: bool = True):
@@ -632,74 +244,3 @@ def make_fleet(n_nodes: int, populate: bool = True):
             populate_base_tables(controller.switch.tables)
         fabric.add_node(f"n{index}", controller)
     return fabric
-
-
-def measure_fabric_scale(
-    n_nodes: int = 1000,
-    n_workers: int = 8,
-    wave_size: int = 25,
-) -> dict:
-    """Staged-rollout wall clock: serial fabric vs sharded runtime.
-
-    One fleet, two identical rollouts of the SRv6 load script (with a
-    one-packet probe gate per node): first on the plain serial fabric,
-    then -- after :meth:`Fabric.rollback_all` restores every node to
-    the base design -- on the same fleet sharded across ``n_workers``
-    device workers with the fleet-wide update-plan cache installed.
-    The sharded runtime wins on both axes the refactor targets: wave
-    staging fans out across the workers, and the canary's compile /
-    lint / verify artifacts are reused by every content-identical
-    node.
-    """
-    import gc
-    import time
-
-    from repro.workloads.builders import ipv4_packet
-
-    script = srv6_load_script()
-    sources = {"srv6.rp4": srv6_rp4_source()}
-    probe_trace = [(ipv4_packet("10.1.0.1", "10.2.0.5"), 0)]
-    fabric = make_fleet(n_nodes)
-
-    def settle() -> None:
-        # A deployed switch serves traffic, so its live plan cache is
-        # warm; and the fleet itself is long-lived state, so it is
-        # frozen out of the young GC generations.  Both legs start
-        # from the same settled state.
-        for name in fabric.nodes:
-            fabric.node(name).switch.dp.plan()
-        gc.collect()
-        gc.freeze()
-
-    settle()
-    start = time.perf_counter()
-    fabric.staged_rollout(
-        script, sources, wave_size=wave_size, probe_trace=probe_trace
-    )
-    serial_seconds = time.perf_counter() - start
-    fabric.rollback_all()
-
-    fabric.shard(n_workers)
-    try:
-        settle()
-        start = time.perf_counter()
-        fabric.staged_rollout(
-            script, sources, wave_size=wave_size, probe_trace=probe_trace
-        )
-        sharded_seconds = time.perf_counter() - start
-        cache = fabric.plan_cache
-        hits, misses = cache.hits, cache.misses
-    finally:
-        fabric.unshard()
-        gc.unfreeze()
-    sharded_seconds = max(sharded_seconds, 1e-9)
-    return {
-        "nodes": n_nodes,
-        "workers": n_workers,
-        "wave_size": wave_size,
-        "serial_seconds": serial_seconds,
-        "sharded_seconds": sharded_seconds,
-        "speedup_x": serial_seconds / sharded_seconds,
-        "plan_cache_hits": hits,
-        "plan_cache_misses": misses,
-    }

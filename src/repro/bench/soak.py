@@ -50,7 +50,7 @@ from repro.workloads.builders import ipv4_packet
 
 #: Full-mode defaults: the ISSUE's headline soak.  Two workers, not
 #: more -- on a single-core box extra worker threads only thrash the
-#: scheduler (see measure_fabric_scale).
+#: scheduler.
 FULL_NODES = 1000
 FULL_PACKETS = 10_000_000
 DEFAULT_WORKERS = 2

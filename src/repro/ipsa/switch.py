@@ -52,7 +52,7 @@ class UpdateStats:
     tables_created: List[str] = field(default_factory=list)
     tables_removed: List[str] = field(default_factory=list)
     stall_seconds: float = 0.0
-    epoch: int = 0  # dp plan epoch after the update (0 = in-place path)
+    epoch: int = 0  # dp plan epoch after the update
 
 
 # -- schema registration helpers ------------------------------------------
@@ -412,111 +412,12 @@ class IpsaSwitch:
         and validated while old plans keep serving, then committed with
         a stall window covering only the pointer flip.  Any pre-commit
         failure aborts with zero live-state mutation and re-raises the
-        original exception.  The pre-refactor stop-the-world path
-        survives as :meth:`apply_update_inplace` (the bench baseline).
+        original exception.
         """
         txn = self.begin_update(update)
         txn.prepare()
         txn.validate()
         return txn.commit()
-
-    def apply_update_inplace(self, update: dict) -> UpdateStats:
-        """The pre-transactional stop-the-world update: pause intake,
-        drain (discarding in-flight packets), patch live state in
-        place, recompile under the pause.  Kept as the bench harness's
-        before/after baseline for the ``update_stall`` scenario."""
-        stats = UpdateStats()
-        timeline = self.timelines.begin("apply_update_inplace")
-
-        self.paused = True  # back pressure: intake waits out the update
-        stats.drained_packets = self.drain()
-        stats.held_packets = len(self.rx_queue)
-        timeline.phase(
-            "drain",
-            drained_packets=stats.drained_packets,
-            held_packets=stats.held_packets,
-        )
-
-        # New metadata members get zero defaults so predicates can read
-        # them before any action writes them.
-        for name, _width in update.get("new_metadata", []):
-            self.metadata_defaults.setdefault(name, 0)
-
-        # New header types must exist before links can point at (or
-        # out of) them -- the SRv6 script both loads `srh` and links it.
-        for name, spec in update.get("new_headers", {}).items():
-            self._register_header(name, spec)
-        timeline.phase(
-            "schema",
-            new_metadata=len(update.get("new_metadata", [])),
-            new_headers=len(update.get("new_headers", {})),
-        )
-
-        for pre, tag, nxt in update.get("link_headers", []):
-            self._ensure_instance(nxt)
-            self.linkage.add_link(pre, nxt, tag)
-            stats.links_added += 1
-        for pre, tag in update.get("unlink_headers", []):
-            self.linkage.del_link(pre, tag)
-            stats.links_removed += 1
-        timeline.phase(
-            "linkage",
-            links_added=stats.links_added,
-            links_removed=stats.links_removed,
-        )
-
-        new_actions = update.get("new_actions", {})
-        for name, spec in new_actions.items():
-            self.actions[name] = action_from_json(spec)
-        if new_actions:
-            self.dp.invalidate("actions")
-        for name, spec in update.get("new_tables", {}).items():
-            self._create_table(name, spec)
-            stats.tables_created.append(name)
-        freed = update.get("freed_tables", [])
-        for name in freed:
-            self.tables.pop(name, None)
-            stats.tables_removed.append(name)
-        if freed:
-            self.dp.invalidate("tables")
-        timeline.phase(
-            "tables",
-            new_actions=len(update.get("new_actions", {})),
-            tables_created=list(stats.tables_created),
-            tables_removed=list(stats.tables_removed),
-        )
-
-        templates = update.get("templates", [])
-        stats.template_words = self.pipeline.write_templates(templates)
-        stats.templates_written = len(templates)
-        timeline.phase(
-            "templates",
-            templates_written=stats.templates_written,
-            template_words=stats.template_words,
-        )
-
-        # Any TSP no longer referenced by the selector drops its stale
-        # template and powers down.
-        selector = SelectorConfig.from_json(update.get("selector", {}))
-        for tsp in self.pipeline.tsps:
-            if tsp.index not in selector.active and tsp.stages:
-                tsp.clear()
-        self.pipeline.configure_selector(selector)
-
-        self.paused = False  # release back pressure
-        timeline.phase("selector", active_tsps=len(selector.active))
-
-        # Eagerly recompile the stage plans so the first post-update
-        # packet pays no compile cost (and the stall time includes it).
-        self.dp.plan()
-        timeline.phase(
-            "recompile",
-            plan_generation=self.dp.generation,
-            plan_compiles=self.dp.plan_compiles,
-        )
-        timeline.finish()
-        stats.stall_seconds = timeline.total_seconds
-        return stats
 
     # -- introspection ---------------------------------------------------------
 

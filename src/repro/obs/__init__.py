@@ -24,7 +24,7 @@ instruments the rest of the tree threads through:
 * :mod:`repro.obs.prof` -- an opt-in low-overhead profiler that
   attributes wall-time and work counters (headers parsed, lookups,
   primitive ops, TM enqueues) to parse/match/execute phases per
-  component; feeds the bench harness and flamegraph tooling.
+  component; feeds ``ipbm-ctl profile`` and flamegraph tooling.
 """
 
 import importlib

@@ -30,8 +30,7 @@ hot path:
   the ring into a post-mortem JSON bundle.
 
 The engine is strictly *outside* the forwarding path: devices never
-call into it; it reads their registries at tick time.  The
-``health_overhead`` bench cell keeps that claim honest.
+call into it; it reads their registries at tick time.
 """
 
 from __future__ import annotations

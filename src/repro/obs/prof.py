@@ -19,8 +19,7 @@ surfaces:
 * :meth:`Profiler.folded` -- Brendan-Gregg folded-stack lines
   (``ipsa;tsp3;match;ipv4_lpm 127``) ready for ``flamegraph.pl`` or
   speedscope;
-* :meth:`Profiler.to_dict` -- the JSON the bench harness embeds in
-  ``BENCH_*.json``.
+* :meth:`Profiler.to_dict` -- the same records as JSON.
 """
 
 from __future__ import annotations

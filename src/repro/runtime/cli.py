@@ -17,14 +17,11 @@ back into human-readable form::
     ipbm-ctl trace traces.jsonl          # packet trace trees
     ipbm-ctl timeline timelines.jsonl    # update phase breakdowns
 
-Two performance subcommands run scenarios live: ``profile`` replays a
-workload under the profiler and renders the per-stage cost table (plus
-an optional folded-stack file for flamegraph tooling), and ``bench``
-is a shortcut to the benchmark harness (``python -m
-repro.bench.harness``)::
+``ipbm-ctl profile`` runs a scenario live: it replays a workload under
+the profiler and renders the per-stage cost table (plus an optional
+folded-stack file for flamegraph tooling)::
 
     ipbm-ctl profile --switch ipsa --case C1 --packets 500
-    ipbm-ctl bench --smoke --out BENCH_ci.json
 
 ``ipbm-ctl lint`` is the rp4lint static analyzer (also installed as
 the ``rp4lint`` console script): parse-soundness, dead-code, and
@@ -94,7 +91,7 @@ from repro.compiler.merge import group_key
 from repro.compiler.rp4bc import TargetSpec
 from repro.runtime.controller import Controller
 
-OBS_COMMANDS = ("stats", "trace", "timeline", "profile", "bench")
+OBS_COMMANDS = ("stats", "trace", "timeline", "profile")
 
 
 def _load_snippets(pairs: List[str]) -> Dict[str, str]:
@@ -799,11 +796,6 @@ def _health_dump(args, out) -> int:
 
 
 def _obs_main(argv: List[str]) -> int:
-    if argv and argv[0] == "bench":
-        # The harness owns its whole flag surface; forward verbatim.
-        from repro.bench.harness import main as bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "profile":
         return _profile_main(argv[1:])
     parser = argparse.ArgumentParser(

@@ -223,9 +223,8 @@ class _DeviceTransaction:
 class IpsaUpdateTransaction(_DeviceTransaction):
     """Transactional :meth:`IpsaSwitch.apply_update`.
 
-    ``update`` is the same rp4bc UpdatePlan JSON the in-place path
-    consumes; the timeline label stays ``apply_update`` so exported
-    timelines keep their identity, with phases
+    ``update`` is the rp4bc UpdatePlan JSON; the timeline label is
+    ``apply_update``, with phases
     ``prepare/validate/serve/flip/resume/complete``.
     """
 
@@ -320,8 +319,8 @@ class IpsaUpdateTransaction(_DeviceTransaction):
         for tsp in switch.pipeline.tsps:
             side, stages = staged.get(tsp.index, (tsp.side, tsp.stages))
             if tsp.index not in selector.active:
-                # Same rule as the in-place path: a TSP the new
-                # selector no longer references drops its template.
+                # A TSP the new selector no longer references drops
+                # its template.
                 stages = []
             state = (
                 TspState.ACTIVE

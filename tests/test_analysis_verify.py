@@ -21,6 +21,7 @@ from repro.analysis.verify import (
     replay,
     verify_txn,
 )
+from repro.analysis.verify_cli import _script_source_names, shipped_snippets
 from repro.programs import (
     acl_load_script,
     acl_rp4_source,
@@ -75,9 +76,24 @@ class TestDomain:
 
 
 class TestCleanUpdates:
-    def test_ecmp_staging_verifies_clean_exhaustively(self):
+    @pytest.mark.parametrize(
+        "name, changes_flows",
+        [
+            # Loaded with empty tables, these three leave every base
+            # flow class equivalent.
+            ("acl.rp4", False),
+            ("qos.rp4", False),
+            ("srv6.rp4", False),
+            ("ecmp.rp4", True),
+            ("int.rp4", True),
+        ],
+    )
+    def test_shipped_staging_verifies_clean_exhaustively(
+        self, name, changes_flows
+    ):
         controller = staged_base_controller()
-        script, sources = ecmp_sources()
+        source, script = shipped_snippets()[name]
+        sources = {key: source for key in _script_source_names(script)}
         staged = controller.stage_update(script, sources)
         try:
             report = verify_txn(
@@ -91,9 +107,9 @@ class TestCleanUpdates:
         assert report.drift == []  # template regeneration is deterministic
         assert report.unintended == []
         assert report.errors() == []
-        # The rehosted stages really changed flow behavior -- the
+        # Where the rehosted stages really change flow behavior, the
         # clean verdict is "intended", not "saw nothing".
-        assert report.intended
+        assert bool(report.intended) == changes_flows
 
     def test_error_gate_commits_known_safe_update(self):
         controller = staged_base_controller(verify_updates="error")

@@ -1,15 +1,52 @@
-"""Unit tests for the bench-harness modules themselves."""
+"""Unit tests for repro.bench: paper artifacts and scenario builders."""
 
 import pytest
 
 from repro.bench.mapping import fig4_mapping, format_mapping
 from repro.bench.report import format_table
+from repro.bench.scenarios import (
+    CASES,
+    SWITCHES,
+    case_trace,
+    make_ipsa,
+    make_pisa,
+    make_switch,
+)
 from repro.bench.table1 import (
     Table1Row,
     hardware_flow_model,
     measure_bmv2_flow,
     measure_ipbm_flow,
 )
+
+
+class TestScenarios:
+    def test_unknown_arch_and_case_rejected(self):
+        with pytest.raises(ValueError):
+            make_switch("tofino")
+        with pytest.raises(ValueError):
+            case_trace("C9", 10)
+
+    def test_ipsa_case_has_snippet_tables(self):
+        switch = make_ipsa("C1")
+        assert "ecmp_ipv4" in switch.tables
+
+    def test_pisa_case_loads_full_variant(self):
+        switch = make_pisa("C2")
+        assert "local_sid" in switch.tables  # the SRv6 variant's table
+
+    def test_every_cell_forwards_traffic(self):
+        # A scenario is only worth replaying if its packets take the
+        # real fast path; one that drops everything exercises nothing.
+        for case in CASES:
+            trace = case_trace(case, 12)
+            for arch in SWITCHES:
+                switch = make_switch(arch, case)
+                forwarded = sum(
+                    1 for data, port in trace
+                    if switch.inject(data, port) is not None
+                )
+                assert forwarded > 0, f"{arch}/{case} forwarded nothing"
 
 
 class TestFormatTable:

@@ -1,14 +1,9 @@
-"""Tests for the soak harness and the fabric_scale bench section."""
+"""Tests for the soak harness."""
 
 import json
 
 import pytest
 
-from repro.bench.schema import (
-    DEFAULT_FABRIC_SCALE_TOLERANCE,
-    compare_documents,
-    validate_bench,
-)
 from repro.bench.soak import build_parser, main, run_soak, rss_bytes
 
 
@@ -66,128 +61,3 @@ class TestRunSoak:
         assert args.nodes == 1000
         assert args.packets == 10_000_000
         assert args.workers == 2
-
-
-def fabric_cell(**overrides):
-    cell = {
-        "nodes": 1000,
-        "workers": 2,
-        "wave_size": 25,
-        "serial_seconds": 4.5,
-        "sharded_seconds": 0.8,
-        "speedup_x": 4.5 / 0.8,
-        "plan_cache_hits": 999,
-        "plan_cache_misses": 1,
-    }
-    cell.update(overrides)
-    return cell
-
-
-def bench_doc(fabric_scale=None):
-    doc = {
-        "schema_version": 1,
-        "kind": "repro-bench",
-        "created_unix": 1.0,
-        "stamp": "20260809-000000",
-        "mode": "smoke",
-        "environment": {},
-        "matrix": {"cases": ["C1"], "switches": ["ipsa"], "sizes": [60]},
-        "results": [
-            {
-                "switch": "ipsa",
-                "case": "C1",
-                "packets": 60,
-                "forwarded": 60,
-                "dropped": 0,
-                "seconds": 0.01,
-                "pps": 6000.0,
-                "ns_per_pkt": 166666.0,
-                "profile": {
-                    "profiled_seconds": 0.012,
-                    "profiled_ns_per_pkt": 200000.0,
-                    "overhead_pct": 20.0,
-                    "phase_shares": {},
-                    "phase_ns_per_pkt": {},
-                    "work_per_pkt": {},
-                    "engine_lookups": {},
-                },
-            }
-        ],
-    }
-    if fabric_scale is not None:
-        doc["fabric_scale"] = fabric_scale
-    return doc
-
-
-class TestFabricScaleSchema:
-    def test_absence_is_valid(self):
-        assert validate_bench(bench_doc()) == []
-
-    def test_good_cell_validates(self):
-        assert validate_bench(bench_doc([fabric_cell()])) == []
-
-    def test_empty_section_rejected(self):
-        assert validate_bench(bench_doc([]))
-
-    def test_missing_key_rejected(self):
-        cell = fabric_cell()
-        del cell["speedup_x"]
-        assert any(
-            "speedup_x" in problem
-            for problem in validate_bench(bench_doc([cell]))
-        )
-
-    def test_sharded_not_faster_rejected(self):
-        cell = fabric_cell(
-            sharded_seconds=5.0, speedup_x=4.5 / 5.0
-        )
-        assert any(
-            "not strictly below" in problem
-            for problem in validate_bench(bench_doc([cell]))
-        )
-
-    def test_inconsistent_speedup_rejected(self):
-        cell = fabric_cell(speedup_x=99.0)
-        assert any(
-            "inconsistent" in problem
-            for problem in validate_bench(bench_doc([cell]))
-        )
-
-    def test_zero_cache_hits_rejected(self):
-        cell = fabric_cell(plan_cache_hits=0)
-        assert any(
-            "plan_cache_hits" in problem
-            for problem in validate_bench(bench_doc([cell]))
-        )
-
-
-class TestFabricScaleCompare:
-    def test_matching_cells_within_tolerance_ok(self):
-        old = bench_doc([fabric_cell()])
-        new = bench_doc([fabric_cell(sharded_seconds=0.9,
-                                     speedup_x=4.5 / 0.9)])
-        comparison = compare_documents(old, new)
-        assert comparison.ok
-        cells = {d.cell for d in comparison.deltas}
-        assert "fabric:1000" in cells
-
-    def test_wall_clock_blowup_regresses(self):
-        old = bench_doc([fabric_cell()])
-        blown = 0.8 * (1.0 + DEFAULT_FABRIC_SCALE_TOLERANCE) * 1.5
-        new = bench_doc([fabric_cell(sharded_seconds=blown,
-                                     serial_seconds=blown * 4.0,
-                                     speedup_x=4.0)])
-        comparison = compare_documents(old, new)
-        assert not comparison.ok
-        assert any(
-            d.cell == "fabric:1000" and d.metric == "sharded_s"
-            for d in comparison.regressions
-        )
-
-    def test_missing_and_new_cells_are_notes_not_failures(self):
-        old = bench_doc([fabric_cell(nodes=1000)])
-        new = bench_doc([fabric_cell(nodes=48)])
-        comparison = compare_documents(old, new)
-        assert comparison.ok
-        assert "fabric:1000" in comparison.missing_cells
-        assert "fabric:48" in comparison.new_cells

@@ -313,3 +313,60 @@ class TestIpbmCtlExtended:
         out = capsys.readouterr().out
         assert "populate_ecmp_tables" in out
         assert "table ecmp_ipv4" in out
+
+
+class TestIpbmCtlIntegration:
+    def test_bench_subcommand_is_gone(self):
+        # No forwarder left: `bench` is read as the base-design path
+        # and the harness flag is an unknown argument.
+        with pytest.raises(SystemExit):
+            ipbm_ctl_main(["bench", "--smoke"])
+
+    def test_profile_subcommand(self, tmp_path, capsys):
+        folded = tmp_path / "stacks.folded"
+        code = ipbm_ctl_main(
+            [
+                "profile",
+                "--switch", "ipsa",
+                "--case", "base",
+                "--packets", "20",
+                "--folded", str(folded),
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "ipsa/base: 20 packets" in out
+        assert "phases:" in out
+        lines = folded.read_text().strip().splitlines()
+        assert lines and all(
+            line.startswith("ipsa;") and line.rsplit(" ", 1)[1].isdigit()
+            for line in lines
+        )
+
+    def test_int_report_subcommand(self, capsys):
+        code = ipbm_ctl_main(
+            ["int", "report", "--nodes", "3", "--packets", "4"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "4 packets sent, 4 delivered" in out
+        assert "12 hop records" in out
+        assert "switch 1 -> switch 2 -> switch 3" in out
+
+    def test_int_export_subcommand(self, tmp_path, capsys):
+        records = tmp_path / "int.jsonl"
+        metrics = tmp_path / "int.prom"
+        code = ipbm_ctl_main(
+            [
+                "int", "export", str(records),
+                "--packets", "3",
+                "--strip", "sink",
+                "--metrics-out", str(metrics),
+            ]
+        )
+        assert code == 0
+        lines = records.read_text().strip().splitlines()
+        assert len(lines) == 3
+        first = json.loads(lines[0])
+        assert first["path"] == [1, 2, 3]
+        assert "int_hop_latency_ns_bucket" in metrics.read_text()

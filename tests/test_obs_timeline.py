@@ -129,26 +129,6 @@ class TestApplyUpdateTimeline:
             controller.switch.pipeline.active_tsps()
         )
 
-    def test_inplace_path_still_records_its_own_timeline(self, controller):
-        """The pre-refactor stop-the-world path (the bench baseline)
-        keeps its full phase breakdown under its own label."""
-        from repro.compiler.rp4bc import compile_update
-
-        plan = compile_update(
-            controller.design, ecmp_load_script(),
-            {"ecmp.rp4": ecmp_rp4_source()},
-        )
-        stats = controller.switch.apply_update_inplace(
-            plan.update_message(controller.design.config)
-        )
-        timeline = controller.switch.timelines.latest("apply_update_inplace")
-        assert timeline is not None
-        assert [p.name for p in timeline.phases] == [
-            "drain", "schema", "linkage", "tables", "templates", "selector",
-            "recompile",
-        ]
-        assert stats.stall_seconds == pytest.approx(timeline.total_seconds)
-
 
 class TestControllerTimelines:
     def test_load_base_phases(self, controller):
