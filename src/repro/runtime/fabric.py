@@ -17,11 +17,15 @@ The fabric runs in one of two modes:
   across :class:`~repro.runtime.workers.DeviceWorker` shards, each
   with its own receive loop over framed byte envelopes.  Traffic
   batches fan out to the shards concurrently (cross-shard hops come
-  back as handoffs and are re-dispatched), staged rollouts stage
-  whole waves in parallel (commit order stays the listed wave order,
-  so reverse-order rollback is deterministic), and each worker's
-  metric shard snapshots merge losslessly into :attr:`Fabric.metrics`
-  -- stats, health rules, and Prometheus export are shard-transparent.
+  back as handoffs and are re-dispatched), each staged-rollout step
+  is one batch frame per owning shard, and each worker's metric
+  shard snapshots merge losslessly into :attr:`Fabric.metrics` --
+  stats, health rules, and Prometheus export are shard-transparent.
+
+Staged rollouts are mode-free: serial fabrics run the very same
+:class:`~repro.runtime.workers.DeviceWorker` update handlers
+in-process, so a wave stages, commits, gates, and unwinds the same
+way in both modes.
 
 Per-hop delivery accounting flows through :attr:`Fabric.metrics` in
 both modes: ``fabric.injected{node}``, ``fabric.hop_forwarded{node,
@@ -127,6 +131,9 @@ class Fabric:
         self.workers: List[DeviceWorker] = []
         self._owner: Dict[str, DeviceWorker] = {}
         self.plan_cache: Optional[UpdatePlanCache] = None
+        # Serial mode runs the same update handlers in-process over
+        # every node (see _update); never started, never framed.
+        self._local = DeviceWorker("local", self.nodes, self._wires, max_hops)
         # Edge-side INT collector (see attach_int_collector): None
         # keeps delivery untouched.
         self.int_collector = None
@@ -272,6 +279,49 @@ class Fabric:
             except Exception as exc:
                 replies.append(exc)
         return replies
+
+    def _update(
+        self, kind: str, nodes: List[str], payload: dict
+    ) -> Dict[str, dict]:
+        """Run one node-batch update command over ``nodes``.
+
+        The only place that knows serial from sharded for updates.
+        Sharded: one batch frame per owning worker, scattered
+        concurrently.  Serial: the same :class:`DeviceWorker` handlers
+        run in-process -- no frame, no JSON, no thread.  Returns the
+        per-node entries keyed in listed order; a failed node carries
+        its exception under ``"error"`` (the original object when
+        serial, a :class:`WorkerError` naming the node when sharded)
+        and nodes after it on the same worker are absent.  An unknown
+        node raises :class:`FabricError` before any command runs.
+        """
+        if not self.workers:
+            for name in nodes:
+                self.node(name)
+            entries = self._local.run_nodes(kind, {**payload, "nodes": nodes})
+            return {entry["node"]: entry for entry in entries}
+        grouped: Dict[DeviceWorker, List[str]] = {}
+        for name in nodes:
+            grouped.setdefault(self._worker_of(name), []).append(name)
+        replies = self._scatter([
+            (worker, kind, {**payload, "nodes": names})
+            for worker, names in grouped.items()
+        ])
+        entries = {}
+        for names, reply in zip(grouped.values(), replies):
+            if isinstance(reply, Exception):
+                entries[names[0]] = {"node": names[0], "error": reply}
+                continue
+            for entry in reply["results"]:
+                detail = entry.get("error")
+                if detail:
+                    entry["error"] = WorkerError(
+                        f"{detail['type']}: {detail['message']}",
+                        kind=kind,
+                        node=entry["node"],
+                    )
+                entries[entry["node"]] = entry
+        return {name: entries[name] for name in nodes if name in entries}
 
     # -- telemetry ------------------------------------------------------
 
@@ -464,10 +514,9 @@ class Fabric:
         return rolled
 
     def _rollback_node(self, name: str) -> None:
-        if self.workers:
-            self._worker_of(name).request("worker.rollback", {"node": name})
-        else:
-            self.node(name).rollback()
+        entry = self._update("worker.rollback_batch", [name], {})[name]
+        if "error" in entry:
+            raise entry["error"]
 
     def rollout(
         self,
@@ -543,14 +592,20 @@ class Fabric:
            gate breach) triggers reverse-order rollback of *every*
            committed node before :class:`RolloutError` propagates.
 
-        On a **sharded** fabric (:meth:`shard`) each wave's staging
-        fans out across the owning device workers in parallel, then
-        commits and gates in listed order -- the committed sequence,
-        and therefore the reverse-order rollback, is deterministic
-        regardless of thread timing.  A staging failure aborts the
-        whole wave while every member is still shadow, so a wave is
-        all-or-nothing; soak and fleet gates evaluate while traffic
-        batches keep flowing through the other shards' queues.
+        **Every wave runs the same four steps**, the canary being a
+        wave of one, on a serial and a sharded fabric alike: (1) stage
+        every member; (2) if any member fails to stage, abort every
+        staged member while all are still shadow -- nothing in the wave
+        commits; (3) commit in listed order; (4) gate in listed order.
+        Each step runs the wave as one node batch per device worker
+        (:meth:`_update`), and a worker stops at its first failure:
+        after a commit failure that worker's later members stay parked
+        (aborted, reported as pending) while members owned by other
+        workers may already have flipped (rolled back with the rest).
+        The committed sequence, and therefore the reverse-order
+        rollback, is deterministic regardless of thread timing.  An
+        unknown node raises :class:`FabricError` before anything is
+        staged.
 
         **The gate.**  Without a health engine attached the gate is the
         legacy one-shot check: ``probe_trace`` is injected through the
@@ -578,6 +633,8 @@ class Fabric:
         order = list(nodes) if nodes is not None else list(self.nodes)
         if not order:
             return RolloutReport()
+        for name in order:
+            self.node(name)  # an unknown node fails before anything is staged
         canary = canary if canary is not None else order[0]
         if canary not in order:
             raise FabricError(f"canary {canary!r} is not in the rollout set")
@@ -587,6 +644,9 @@ class Fabric:
         ]
         report = RolloutReport(canary=canary, waves=waves)
         committed: List[str] = []
+        probe_items = None
+        if probe_trace is not None:
+            probe_items = [[data.hex(), port] for data, port in probe_trace]
 
         def evidence_checkpoint(after: str) -> None:
             collector = self.int_collector
@@ -608,21 +668,12 @@ class Fabric:
                 }
             )
 
-        def probe(name: str) -> float:
-            if self.workers:
-                reply = self._worker_of(name).request(
-                    "worker.probe",
-                    {
-                        "node": name,
-                        "items": [
-                            [data.hex(), port] for data, port in probe_trace
-                        ],
-                    },
-                )
-                total, dropped = reply["total"], reply["dropped"]
-            else:
-                result = self.node(name).switch.inject_batch(probe_trace)
-                total, dropped = len(result), result.dropped
+        def drop_rate(name: str, entry: dict) -> float:
+            """One node's probe result as a drop rate; a probe that
+            raised re-raises here."""
+            if "error" in entry:
+                raise entry["error"]
+            total, dropped = entry["total"], entry["dropped"]
             rate = dropped / total if total else 0.0
             report.probes[name] = rate
             return rate
@@ -633,7 +684,9 @@ class Fabric:
             engine = self.health
             for _ in range(max(1, soak_ticks)):
                 if probe_trace is not None:
-                    probe(name)
+                    drop_rate(name, self._update(
+                        "worker.probe_batch", [name], {"items": probe_items}
+                    )[name])
                 for transition in engine.tick():
                     report.alerts.append(transition.to_dict())
                 score = engine.device_health(name)
@@ -646,76 +699,6 @@ class Fabric:
                             a.rule.name for a in engine.firing(name)
                         )
                     )
-
-        def fleet_check(after: str) -> None:
-            """Between-wave gate: one tick, every committed node must
-            still hold ``min_health``."""
-            engine = self.health
-            if engine is None or not committed:
-                return
-            for transition in engine.tick():
-                report.alerts.append(transition.to_dict())
-            for name in committed:
-                score = engine.device_health(name)
-                report.health[name] = score
-                if score < min_health:
-                    raise HealthGateError(
-                        f"node {name!r} health {score:.2f} fell below "
-                        f"gate {min_health:.2f} after {after}"
-                    )
-
-        def stage_node(name: str):
-            """Stage on the owning worker (sharded) or inline; the
-            handle is whatever :func:`commit_node` needs later."""
-            if self.workers:
-                reply = self._worker_of(name).request(
-                    "worker.stage",
-                    {
-                        "node": name,
-                        "script": script_text,
-                        "sources": sources,
-                    },
-                )
-                return reply["token"]
-            return self.node(name).stage_update(script_text, sources)
-
-        def commit_node(name: str, staged) -> float:
-            if self.workers:
-                reply = self._worker_of(name).request(
-                    "worker.commit", {"node": name, "token": staged}
-                )
-                return reply["total_seconds"]
-            _plan, _stats, timing = staged.commit()
-            return timing.total_seconds
-
-        def abort_node(name: str, staged) -> None:
-            try:
-                if self.workers:
-                    self._worker_of(name).request(
-                        "worker.abort", {"node": name, "token": staged}
-                    )
-                else:
-                    staged.abort()
-            except Exception:
-                pass  # best effort; the triggering failure is the headline
-
-        def gate(name: str) -> None:
-            if self.health is not None:
-                soak(name)
-            elif probe_trace is not None:
-                rate = probe(name)
-                if rate > max_drop_rate:
-                    raise HealthGateError(
-                        f"node {name!r} drop rate {rate:.3f} exceeds "
-                        f"gate {max_drop_rate:.3f}"
-                    )
-
-        def update_and_gate(name: str) -> None:
-            staged = stage_node(name)
-            total_seconds = commit_node(name, staged)
-            committed.append(name)
-            report.timings[name] = total_seconds
-            gate(name)
 
         def unwind(failed: str, cause: Exception, pending: List[str]) -> None:
             rolled_back: List[str] = []
@@ -736,184 +719,106 @@ class Fabric:
                 report=report,
             ) from cause
 
+        def first_failure(wave: List[str], entries: Dict[str, dict]):
+            return next(
+                (name for name in wave if "error" in entries.get(name, {})),
+                None,
+            )
+
+        def gate(wave: List[str], later: List[str]) -> None:
+            """Step 4, in listed order: the health soak per node, or
+            the drop rates of one probe batch over the whole wave."""
+            probes: Dict[str, dict] = {}
+            if self.health is None and probe_trace is not None:
+                probes = self._update(
+                    "worker.probe_batch", wave, {"items": probe_items}
+                )
+            for name in wave:
+                try:
+                    if self.health is not None:
+                        soak(name)
+                    elif probe_trace is not None:
+                        rate = drop_rate(name, probes[name])
+                        if rate > max_drop_rate:
+                            raise HealthGateError(
+                                f"node {name!r} drop rate {rate:.3f} "
+                                f"exceeds gate {max_drop_rate:.3f}"
+                            )
+                except Exception as exc:
+                    unwind(name, exc, later)
+
+        def run_wave(wave: List[str], later: List[str]) -> None:
+            """Stage all, abort all while shadow on a staging failure,
+            commit in listed order, gate in listed order."""
+            staged = self._update(
+                "worker.stage_batch", wave,
+                {"script": script_text, "sources": sources},
+            )
+            tokens = {
+                name: entry["token"]
+                for name, entry in staged.items()
+                if "error" not in entry
+            }
+
+            def abort(names: List[str]) -> None:
+                # One node at a time, errors ignored: best effort, the
+                # triggering failure is the headline.
+                for name in names:
+                    self._update("worker.abort_batch", [name], {"tokens": tokens})
+
+            failed = first_failure(wave, staged)
+            if failed is not None:
+                abort(list(tokens))
+                unwind(
+                    failed, staged[failed]["error"],
+                    [n for n in wave if n != failed] + later,
+                )
+            commits = self._update(
+                "worker.commit_batch", wave, {"tokens": tokens}
+            )
+            for name, entry in commits.items():
+                if "error" not in entry:
+                    committed.append(name)
+                    report.timings[name] = entry["total_seconds"]
+            failed = first_failure(wave, commits)
+            if failed is not None:
+                parked = [n for n in wave if n not in commits]
+                abort(parked)
+                unwind(failed, commits[failed]["error"], parked + later)
+            gate(wave, later)
+
+        def checkpoint(after: str, last: str, later: List[str]) -> None:
+            """After the canary and every wave: epoch evidence, then one
+            engine tick in which every committed node must still hold
+            ``min_health``."""
+            evidence_checkpoint(after)
+            engine = self.health
+            if engine is None:
+                return
+            for transition in engine.tick():
+                report.alerts.append(transition.to_dict())
+            for name in committed:
+                score = engine.device_health(name)
+                report.health[name] = score
+                if score < min_health:
+                    unwind(last, HealthGateError(
+                        f"node {name!r} health {score:.2f} fell below "
+                        f"gate {min_health:.2f} after {after}"
+                    ), later)
+
         canary_controller = self.node(canary)
         previous_verify = canary_controller.verify_updates
         if verify != "inherit":
             canary_controller.verify_updates = verify
         try:
-            update_and_gate(canary)
-        except Exception as exc:
-            unwind(canary, exc, rest)
+            run_wave([canary], rest)
         finally:
             canary_controller.verify_updates = previous_verify
-        evidence_checkpoint(f"canary:{canary}")
-        try:
-            fleet_check(f"canary:{canary}")
-        except HealthGateError as exc:
-            unwind(canary, exc, rest)
-        def run_wave_serial(wave_index: int, wave: List[str]) -> None:
-            for position, name in enumerate(wave):
-                try:
-                    update_and_gate(name)
-                except Exception as exc:
-                    pending = wave[position + 1:] + [
-                        n for w in waves[wave_index + 1:] for n in w
-                    ]
-                    unwind(name, exc, pending)
-
-        def run_wave_sharded(wave_index: int, wave: List[str]) -> None:
-            """Fan the wave out across the owning workers with *one
-            batched command per worker per phase* (stage, commit,
-            probe) -- the wave's cost is three roundtrips per shard
-            rather than three per node.  Bookkeeping stays in listed
-            order: the committed sequence (and therefore reverse-order
-            rollback) is deterministic regardless of which shard
-            finishes first.  A staging failure anywhere aborts the
-            whole wave while every member is still shadow: nothing in
-            the wave commits."""
-            later = [n for w in waves[wave_index + 1:] for n in w]
-            grouped: Dict[DeviceWorker, List[str]] = {}
-            for name in wave:
-                grouped.setdefault(self._worker_of(name), []).append(name)
-            by_worker = list(grouped.items())
-
-            def batch_error(entry: dict, kind: str) -> WorkerError:
-                detail = entry["error"]
-                return WorkerError(
-                    f"{detail['type']}: {detail['message']}",
-                    kind=kind,
-                    node=entry["node"],
-                )
-
-            # Phase 1: stage everywhere (still all-shadow on failure).
-            replies = self._scatter([
-                (
-                    worker,
-                    "worker.stage_batch",
-                    {"nodes": names, "script": script_text,
-                     "sources": sources},
-                )
-                for worker, names in by_worker
-            ])
-            tokens: Dict[str, str] = {}
-            stage_errors: Dict[str, Exception] = {}
-            for (_worker, names), reply in zip(by_worker, replies):
-                if isinstance(reply, Exception):
-                    stage_errors[names[0]] = reply
-                    continue
-                for entry in reply["results"]:
-                    if entry.get("error"):
-                        stage_errors[entry["node"]] = batch_error(
-                            entry, "worker.stage"
-                        )
-                    else:
-                        tokens[entry["node"]] = entry["token"]
-            if stage_errors:
-                for name, token in tokens.items():
-                    abort_node(name, token)
-                failed = next(n for n in wave if n in stage_errors)
-                unwind(
-                    failed, stage_errors[failed],
-                    [n for n in wave if n != failed] + later,
-                )
-
-            # Phase 2: commit; a shard stops at its first failure and
-            # leaves the rest of its tokens staged for us to abort.
-            replies = self._scatter([
-                (
-                    worker,
-                    "worker.commit_batch",
-                    {"items": [
-                        {"node": n, "token": tokens[n]} for n in names
-                    ]},
-                )
-                for worker, names in by_worker
-            ])
-            commit_ok: Dict[str, float] = {}
-            commit_errors: Dict[str, Exception] = {}
-            skipped: List[str] = []
-            for (_worker, names), reply in zip(by_worker, replies):
-                if isinstance(reply, Exception):
-                    commit_errors[names[0]] = reply
-                    skipped.extend(names[1:])
-                    continue
-                results = reply["results"]
-                attempted = {entry["node"] for entry in results}
-                for entry in results:
-                    if entry.get("error"):
-                        commit_errors[entry["node"]] = batch_error(
-                            entry, "worker.commit"
-                        )
-                    else:
-                        commit_ok[entry["node"]] = entry["total_seconds"]
-                skipped.extend(n for n in names if n not in attempted)
-            for name in wave:
-                if name in commit_ok:
-                    committed.append(name)
-                    report.timings[name] = commit_ok[name]
-            if commit_errors:
-                for name in skipped:
-                    abort_node(name, tokens[name])
-                failed = next(n for n in wave if n in commit_errors)
-                unwind(
-                    failed, commit_errors[failed],
-                    [n for n in wave if n in skipped] + later,
-                )
-
-            # Phase 3: gate.  With a health engine the soak must tick
-            # the (central) engine per node; the probe-only gate
-            # batches per shard like the other phases.
-            if self.health is not None:
-                for name in wave:
-                    try:
-                        soak(name)
-                    except Exception as exc:
-                        unwind(name, exc, later)
-            elif probe_trace is not None:
-                probe_items = [
-                    [data.hex(), port] for data, port in probe_trace
-                ]
-                replies = self._scatter([
-                    (
-                        worker,
-                        "worker.probe_batch",
-                        {"nodes": names, "items": probe_items},
-                    )
-                    for worker, names in by_worker
-                ])
-                rates: Dict[str, float] = {}
-                for reply in replies:
-                    if isinstance(reply, Exception):
-                        raise reply
-                    for entry in reply["results"]:
-                        total, dropped = entry["total"], entry["dropped"]
-                        rates[entry["node"]] = (
-                            dropped / total if total else 0.0
-                        )
-                for name in wave:
-                    rate = rates.get(name, 0.0)
-                    report.probes[name] = rate
-                    if rate > max_drop_rate:
-                        unwind(
-                            name,
-                            HealthGateError(
-                                f"node {name!r} drop rate {rate:.3f} "
-                                f"exceeds gate {max_drop_rate:.3f}"
-                            ),
-                            later,
-                        )
-
+        checkpoint(f"canary:{canary}", canary, rest)
         for wave_index, wave in enumerate(waves):
-            if self.workers and len(wave) > 1:
-                run_wave_sharded(wave_index, wave)
-            else:
-                run_wave_serial(wave_index, wave)
-            evidence_checkpoint(f"wave:{wave_index}")
-            try:
-                fleet_check(f"wave:{wave_index}")
-            except HealthGateError as exc:
-                pending = [n for w in waves[wave_index + 1:] for n in w]
-                unwind(wave[-1] if wave else canary, exc, pending)
+            later = [n for w in waves[wave_index + 1:] for n in w]
+            run_wave(wave, later)
+            checkpoint(f"wave:{wave_index}", wave[-1], later)
         if self.health is not None:
             for name in committed:
                 report.health[name] = self.health.device_health(name)

@@ -5,9 +5,11 @@ A :class:`DeviceWorker` owns a disjoint set of devices (name ->
 that arrive as length-prefixed byte frames over a
 :class:`~repro.runtime.channel.ControlChannel` pair (requests one
 way, replies the other): ``worker.inject_batch`` walks traffic
-through the shard's devices, ``worker.stage`` / ``worker.commit`` /
-``worker.abort`` / ``worker.rollback`` drive the transactional update
-engine, and ``worker.metrics`` ships a :class:`metric shard
+through the shard's devices, the node-batch commands
+(``worker.stage_batch`` / ``worker.commit_batch`` /
+``worker.abort_batch`` / ``worker.rollback_batch`` /
+``worker.probe_batch``) drive the transactional update engine over a
+list of owned nodes, and ``worker.metrics`` ships a :class:`metric shard
 <MetricShardAccumulator>` snapshot -- per-device counter *deltas* and
 histogram bucket deltas that merge losslessly into the fabric's
 central registry, so fleet-wide stats, health rules, and Prometheus
@@ -17,7 +19,9 @@ Workers run their receive loop on a daemon thread
 (:meth:`DeviceWorker.start`) with ``queue.Queue``-backed transports;
 the same byte protocol runs unchanged over ``multiprocessing`` queues
 for a true remote shard.  A worker can also be driven synchronously
-(:meth:`DeviceWorker.serve_once`) for deterministic tests.
+(:meth:`DeviceWorker.serve_once`) for deterministic tests, and a
+serial fabric calls the node-batch handlers in-process
+(:meth:`DeviceWorker.run_nodes`) with no frame at all.
 
 :class:`UpdatePlanCache` is the fleet-rollout fast path: every node
 in a wave runs the same base design, so the snippet compile, the lint
@@ -260,6 +264,11 @@ def _wire_item(flight: InFlight) -> dict:
     }
 
 
+def _error_detail(exc: Exception) -> dict:
+    """A failure as the JSON-safe detail the channel carries."""
+    return {"type": type(exc).__name__, "message": str(exc)}
+
+
 class DeviceWorker:
     """One shard: a named set of devices plus a framed command loop."""
 
@@ -272,7 +281,9 @@ class DeviceWorker:
         plan_cache: Optional[UpdatePlanCache] = None,
     ) -> None:
         self.name = name
-        self.devices = dict(devices)
+        # Held, not copied: a serial fabric's in-process worker sees
+        # nodes added after it was built.
+        self.devices = devices
         self.wires = wires
         self.max_hops = max_hops
         self.plan_cache = plan_cache
@@ -284,6 +295,14 @@ class DeviceWorker:
         self._snapshotter = ShardSnapshotter()
         self._staged: Dict[str, object] = {}
         self._staged_seq = 0
+        # Node-batch command kind -> its per-node body (see run_nodes).
+        self._node_bodies = {
+            "worker.stage_batch": self._stage,
+            "worker.commit_batch": self._commit,
+            "worker.abort_batch": self._abort,
+            "worker.rollback_batch": self._rollback,
+            "worker.probe_batch": self._probe,
+        }
         self._thread: Optional[threading.Thread] = None
         self._stopping = False
         self._lock = threading.Lock()  # one in-flight request at a time
@@ -334,7 +353,6 @@ class DeviceWorker:
                 f"worker {self.name!r} {kind} failed: "
                 f"{error['type']}: {error['message']}",
                 kind=kind,
-                node=error.get("node", ""),
             )
         return reply
 
@@ -382,13 +400,7 @@ class DeviceWorker:
             reply = self.execute(kind, payload)
         except Exception as exc:  # ship the failure, keep serving
             self._n_errors.inc()
-            reply = {
-                "error": {
-                    "type": type(exc).__name__,
-                    "message": str(exc),
-                    "node": str(payload.get("node", "")),
-                }
-            }
+            reply = {"error": _error_detail(exc)}
         self.replies.post(reply, kind=f"{kind}.reply")
         return True
 
@@ -397,25 +409,39 @@ class DeviceWorker:
     def execute(self, kind: str, payload: dict) -> dict:
         if kind == "worker.inject_batch":
             return self._cmd_inject_batch(payload)
-        if kind == "worker.stage":
-            return self._cmd_stage(payload)
-        if kind == "worker.stage_batch":
-            return self._cmd_stage_batch(payload)
-        if kind == "worker.commit":
-            return self._cmd_commit(payload)
-        if kind == "worker.commit_batch":
-            return self._cmd_commit_batch(payload)
-        if kind == "worker.abort":
-            return self._cmd_abort(payload)
-        if kind == "worker.rollback":
-            return self._cmd_rollback(payload)
-        if kind == "worker.probe":
-            return self._cmd_probe(payload)
-        if kind == "worker.probe_batch":
-            return self._cmd_probe_batch(payload)
         if kind == "worker.metrics":
             return self._cmd_metrics(payload)
-        raise WorkerError(f"unknown command kind {kind!r}", kind=kind)
+        return {
+            "results": [
+                {**entry, "error": _error_detail(entry["error"])}
+                if "error" in entry
+                else entry
+                for entry in self.run_nodes(kind, payload)
+            ]
+        }
+
+    def run_nodes(self, kind: str, payload: dict) -> List[dict]:
+        """Run one node-batch command over ``payload["nodes"]``.
+
+        The one "run in order, stop at the first failure" loop every
+        update command shares: each node gets ``{**body result,
+        "node"}``; the first node whose body raises gets ``{"node",
+        "error": <the exception object>}`` and the nodes after it are
+        never attempted, so the caller sees exactly which were
+        touched.  :meth:`execute` renders the exceptions for the wire;
+        a serial fabric calls this directly and keeps them as raised.
+        """
+        body = self._node_bodies.get(kind)
+        if body is None:
+            raise WorkerError(f"unknown command kind {kind!r}", kind=kind)
+        results: List[dict] = []
+        for node in payload["nodes"]:
+            try:
+                results.append({**body(node, payload), "node": node})
+            except Exception as exc:
+                results.append({"node": node, "error": exc})
+                break
+        return results
 
     def _device(self, node: str):
         try:
@@ -447,13 +473,19 @@ class DeviceWorker:
             "loops": walked.loops,
         }
 
-    # Updates: the controller's transactional staging engine, driven
-    # remotely.  Staged updates park in the worker under a token until
+    # Updates: the controller's transactional staging engine, one
+    # per-node body per command, each run over a node list by
+    # run_nodes.  Staged updates park in the worker under a token until
     # the coordinator decides to flip or abort them.
 
-    def _cmd_stage(self, payload: dict) -> dict:
-        controller = self._device(payload["node"])
-        staged = controller.stage_update(
+    def _stage(self, node: str, payload: dict) -> dict:
+        """Stage ``payload["script"]`` on one owned node and park it.
+
+        As ``worker.stage_batch`` this is the fleet-rollout amortizer:
+        a wave's nodes on this shard cost a single command roundtrip
+        instead of one each.
+        """
+        staged = self._device(node).stage_update(
             payload["script"], payload.get("sources") or None
         )
         self._staged_seq += 1
@@ -465,67 +497,22 @@ class DeviceWorker:
             "compile_seconds": staged.timing.compile_seconds,
         }
 
-    @staticmethod
-    def _error_entry(node: str, exc: Exception) -> dict:
-        return {
-            "node": node,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-
-    def _cmd_stage_batch(self, payload: dict) -> dict:
-        """Stage one update on several owned nodes, one frame.
-
-        The fleet-rollout amortizer: a wave's nodes on this shard cost
-        a single command roundtrip instead of one each.  Stops at the
-        first failure -- nodes after it are never staged, and the
-        caller sees exactly which via the per-node results.
-        """
-        results: List[dict] = []
-        for node in payload["nodes"]:
-            try:
-                reply = self._cmd_stage(
-                    {
-                        "node": node,
-                        "script": payload["script"],
-                        "sources": payload.get("sources"),
-                    }
-                )
-            except Exception as exc:
-                results.append(self._error_entry(node, exc))
-                break
-            results.append({**reply, "node": node})
-        return {"results": results}
-
-    def _cmd_commit_batch(self, payload: dict) -> dict:
-        """Commit staged tokens in order; stops at the first failure
-        (later tokens stay parked for the caller to abort)."""
-        results: List[dict] = []
-        for item in payload["items"]:
-            try:
-                reply = self._cmd_commit(item)
-            except Exception as exc:
-                results.append(
-                    {**self._error_entry(item["node"], exc),
-                     "token": item["token"]}
-                )
-                break
-            results.append(
-                {**reply, "node": item["node"], "token": item["token"]}
-            )
-        return {"results": results}
-
-    def _staged_update(self, token: str):
-        staged = self._staged.get(token)
+    def _unpark(self, node: str, payload: dict):
+        """Take the node's parked update (``payload["tokens"][node]``):
+        a commit or abort consumes its token whether or not it
+        succeeds."""
+        token = payload["tokens"][node]
+        staged = self._staged.pop(token, None)
         if staged is None:
             raise WorkerError(f"no staged update under token {token!r}")
         return staged
 
-    def _cmd_commit(self, payload: dict) -> dict:
-        staged = self._staged_update(payload["token"])
-        try:
-            _plan, stats, timing = staged.commit()
-        finally:
-            self._staged.pop(payload["token"], None)
+    def _commit(self, node: str, payload: dict) -> dict:
+        """Flip one parked update; in ``worker.commit_batch`` a failure
+        stops the batch, so later tokens stay parked for the caller to
+        abort."""
+        staged = self._unpark(node, payload)
+        _plan, stats, timing = staged.commit()
         return {
             "stall_seconds": stats.stall_seconds,
             "compile_seconds": timing.compile_seconds,
@@ -534,20 +521,18 @@ class DeviceWorker:
             "epoch": staged.controller.switch.dp.epoch,
         }
 
-    def _cmd_abort(self, payload: dict) -> dict:
-        staged = self._staged_update(payload["token"])
-        try:
-            staged.abort()
-        finally:
-            self._staged.pop(payload["token"], None)
+    def _abort(self, node: str, payload: dict) -> dict:
+        self._unpark(node, payload).abort()
         return {"aborted": True}
 
-    def _cmd_rollback(self, payload: dict) -> dict:
-        controller = self._device(payload["node"])
-        restored = controller.rollback()
-        return {"restored": restored}
+    def _rollback(self, node: str, payload: dict) -> dict:
+        return {"restored": self._device(node).rollback()}
 
     def _probe(self, node: str, payload: dict) -> dict:
+        """One front-door probe batch on an owned device -- rollout
+        gates use this so probe traffic runs on the device's owning
+        thread, serialized with in-flight traffic; as
+        ``worker.probe_batch`` a whole wave's shard costs one frame."""
         trace = [
             (bytes.fromhex(data), port) for data, port in payload["items"]
         ]
@@ -556,22 +541,6 @@ class DeviceWorker:
             "total": len(result),
             "forwarded": result.forwarded,
             "dropped": result.dropped,
-        }
-
-    def _cmd_probe(self, payload: dict) -> dict:
-        """One front-door probe batch on a single owned device --
-        rollout health gates use this so probe traffic runs on the
-        device's owning thread, serialized with in-flight traffic."""
-        return self._probe(payload["node"], payload)
-
-    def _cmd_probe_batch(self, payload: dict) -> dict:
-        """The same probe trace through several owned nodes' front
-        doors, one frame -- the wave gate's fast path."""
-        return {
-            "results": [
-                {"node": node, **self._probe(node, payload)}
-                for node in payload["nodes"]
-            ]
         }
 
     # Metrics: one delta snapshot covering every owned device's

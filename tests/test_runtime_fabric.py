@@ -11,6 +11,7 @@ from repro.programs import (
 )
 from repro.programs.base_l2l3 import ROUTER_MAC
 from repro.runtime import Controller
+from repro.runtime.channel import ChannelError
 from repro.runtime.fabric import (
     Delivery,
     Fabric,
@@ -18,6 +19,7 @@ from repro.runtime.fabric import (
     HealthGateError,
     RolloutError,
 )
+from repro.runtime.workers import WorkerError
 from repro.tables.table import TableEntry
 from repro.workloads import ipv4_packet, srv6_packet
 
@@ -215,9 +217,27 @@ def four_node_fabric():
     return fabric
 
 
+@pytest.fixture
+def host(request):
+    """Host a rollout test's fabric the way its class asks: serial,
+    or ``shard(n_workers, start=False)`` when the class sets
+    ``sharded = True`` -- one rollout test body, both modes."""
+    hosted = []
+
+    def place(fabric, n_workers=2):
+        if getattr(request.cls, "sharded", False):
+            fabric.shard(n_workers, start=False)
+            hosted.append(fabric)
+        return fabric
+
+    yield place
+    for fabric in hosted:
+        fabric.unshard()
+
+
 class TestStagedRollout:
-    def test_canary_then_waves_happy_path(self):
-        fabric = two_node_fabric()
+    def test_canary_then_waves_happy_path(self, host):
+        fabric = host(two_node_fabric())
         report = fabric.staged_rollout(
             srv6_load_script(),
             {"srv6.rp4": srv6_rp4_source()},
@@ -230,8 +250,8 @@ class TestStagedRollout:
         for name in ("A", "B"):
             assert "local_sid" in fabric.node(name).switch.tables
 
-    def test_wave_partitioning(self):
-        fabric = four_node_fabric()
+    def test_wave_partitioning(self, host):
+        fabric = host(four_node_fabric())
         report = fabric.staged_rollout(
             srv6_load_script(),
             {"srv6.rp4": srv6_rp4_source()},
@@ -242,8 +262,8 @@ class TestStagedRollout:
         assert report.waves == [["A", "C"], ["D"]]
         assert set(report.timings) == {"A", "B", "C", "D"}
 
-    def test_failing_canary_leaves_fleet_untouched(self):
-        fabric = two_node_fabric()
+    def test_failing_canary_leaves_fleet_untouched(self, host):
+        fabric = host(two_node_fabric())
         epoch_b = fabric.node("B").switch.dp.epoch
         with pytest.raises(RolloutError) as excinfo:
             fabric.staged_rollout(
@@ -264,8 +284,8 @@ class TestStagedRollout:
         # The fleet still forwards end to end.
         assert fabric.send("A", *GOOD_PROBE[0]) is not None
 
-    def test_mid_wave_failure_rolls_back_in_reverse(self):
-        fabric = four_node_fabric()
+    def test_mid_wave_failure_rolls_back_in_reverse(self, host):
+        fabric = host(four_node_fabric())
         fabric.node("D").channel.drop_kinds.add("update.prepare")
         with pytest.raises(RolloutError) as excinfo:
             fabric.staged_rollout(
@@ -283,8 +303,8 @@ class TestStagedRollout:
             assert "local_sid" not in controller.switch.tables
             assert controller.switch.inject(*GOOD_PROBE[0]) is not None
 
-    def test_unknown_canary_rejected(self):
-        fabric = two_node_fabric()
+    def test_unknown_canary_rejected(self, host):
+        fabric = host(two_node_fabric())
         with pytest.raises(FabricError):
             fabric.staged_rollout(
                 srv6_load_script(),
@@ -292,8 +312,8 @@ class TestStagedRollout:
                 canary="ghost",
             )
 
-    def test_bad_wave_size_rejected(self):
-        fabric = two_node_fabric()
+    def test_bad_wave_size_rejected(self, host):
+        fabric = host(two_node_fabric())
         with pytest.raises(ValueError):
             fabric.staged_rollout(srv6_load_script(), wave_size=0)
 
@@ -327,8 +347,8 @@ class TestHealthGatedRollout:
         )
         return engine
 
-    def test_healthy_fleet_passes_and_reports_scores(self):
-        fabric = two_node_fabric()
+    def test_healthy_fleet_passes_and_reports_scores(self, host):
+        fabric = host(two_node_fabric())
         self.attach(fabric)
         report = fabric.staged_rollout(
             srv6_load_script(),
@@ -341,8 +361,8 @@ class TestHealthGatedRollout:
         for name in ("A", "B"):
             assert "local_sid" in fabric.node(name).switch.tables
 
-    def test_firing_rule_aborts_and_rolls_back_fleet(self):
-        fabric = four_node_fabric()
+    def test_firing_rule_aborts_and_rolls_back_fleet(self, host):
+        fabric = host(four_node_fabric())
         self.attach(fabric)
         # Sabotage C's routing table: its soak probes all drop, the
         # drop-rate rule goes pending -> firing, the gate trips.
@@ -379,8 +399,8 @@ class TestHealthGatedRollout:
         assert ("pending", "firing") in edges
         assert report.health["C"] < 1.0
 
-    def test_abort_captures_flight_record(self):
-        fabric = four_node_fabric()
+    def test_abort_captures_flight_record(self, host):
+        fabric = host(four_node_fabric())
         engine = self.attach(fabric)
         lpm = fabric.node("C").switch.table("ipv4_lpm")
         for entry in list(lpm.entries()):
@@ -409,8 +429,8 @@ class TestHealthGatedRollout:
         assert rollback_devices == ["C", "B", "A"]
         assert engine.recorder.last_dump() is record
 
-    def test_detach_restores_legacy_probe_gate(self):
-        fabric = two_node_fabric()
+    def test_detach_restores_legacy_probe_gate(self, host):
+        fabric = host(two_node_fabric())
         engine = self.attach(fabric)
         assert fabric.detach_health() is engine
         assert fabric.health is None
@@ -443,81 +463,192 @@ class TestShardedRollout:
     """staged_rollout on a sharded fabric: batched wave fan-out with
     the same deterministic reverse-order rollback contract."""
 
-    def test_sharded_happy_path_updates_every_node(self):
-        fabric = fleet_fabric(6)
-        fabric.shard(2, start=False)
-        try:
-            report = fabric.staged_rollout(
+    sharded = True
+
+    def test_sharded_happy_path_updates_every_node(self, host):
+        fabric = host(fleet_fabric(6))
+        report = fabric.staged_rollout(
+            srv6_load_script(),
+            {"srv6.rp4": srv6_rp4_source()},
+            wave_size=3,
+            probe_trace=GOOD_PROBE,
+        )
+        assert set(report.timings) == {f"n{i}" for i in range(6)}
+        assert all(rate == 0.0 for rate in report.probes.values())
+        for index in range(6):
+            assert "local_sid" in fabric.node(f"n{index}").switch.tables
+
+    def test_dropped_commit_mid_wave_rolls_back_byte_identical(self, host):
+        # One node's update.commit frame is lost mid-wave.  Commits
+        # run one batch per worker, so nodes on *other* shards in the
+        # same wave may have already flipped -- all of them must
+        # unwind, reverse order, and every node's config must land
+        # byte-identical to the pre-rollout state.
+        baseline = config_json(base_node())
+        fabric = host(fleet_fabric(8), n_workers=3)
+        fabric.node("n5").channel.drop_kinds.add("update.commit")
+        with pytest.raises(RolloutError) as excinfo:
+            fabric.staged_rollout(
                 srv6_load_script(),
                 {"srv6.rp4": srv6_rp4_source()},
-                wave_size=3,
-                probe_trace=GOOD_PROBE,
+                wave_size=4,
             )
-            assert set(report.timings) == {f"n{i}" for i in range(6)}
-            assert all(rate == 0.0 for rate in report.probes.values())
-            for index in range(6):
-                assert "local_sid" in fabric.node(f"n{index}").switch.tables
-        finally:
-            fabric.unshard()
+        err = excinfo.value
+        assert err.failed == "n5"
+        # Canary n0, wave 1 = n1-n4 committed.  n5's worker stops at
+        # n5; on three shards n6 and n7 live on other workers and
+        # committed before the failure surfaced, while a serial
+        # fabric's one worker leaves them parked (aborted, pending).
+        same_wave = ["n6", "n7"]
+        flipped = same_wave if fabric.sharded else []
+        assert err.updated == ["n0", "n1", "n2", "n3", "n4"] + flipped
+        assert err.rolled_back == list(reversed(err.updated))
+        assert err.pending == ([] if fabric.sharded else same_wave)
+        for index in range(8):
+            controller = fabric.node(f"n{index}")
+            assert "local_sid" not in controller.switch.tables
+            assert config_json(controller) == baseline
+            assert controller.switch.inject(*GOOD_PROBE[0]) is not None
 
-    def test_dropped_commit_mid_wave_rolls_back_byte_identical(self):
-        # The ISSUE's fault scenario: one node's update.commit frame
-        # is lost mid-wave.  Batched commits mean nodes on *other*
-        # shards in the same wave may have already flipped -- all of
-        # them must unwind, reverse order, and every node's config
-        # must land byte-identical to the pre-rollout state.
-        baseline = config_json(base_node())
-        fabric = fleet_fabric(8)
-        fabric.shard(3, start=False)
-        fabric.node("n5").channel.drop_kinds.add("update.commit")
-        try:
-            with pytest.raises(RolloutError) as excinfo:
-                fabric.staged_rollout(
-                    srv6_load_script(),
-                    {"srv6.rp4": srv6_rp4_source()},
-                    wave_size=4,
-                )
-            err = excinfo.value
-            assert err.failed == "n5"
-            # Canary n0, wave 1 = n1-n4 committed; in n5's wave the
-            # other shards' nodes (n6, n7) committed before the
-            # failure surfaced.
-            assert err.updated == ["n0", "n1", "n2", "n3", "n4", "n6", "n7"]
-            assert err.rolled_back == list(reversed(err.updated))
-            assert err.pending == []
-            for index in range(8):
-                controller = fabric.node(f"n{index}")
-                assert "local_sid" not in controller.switch.tables
-                assert config_json(controller) == baseline
-                assert controller.switch.inject(*GOOD_PROBE[0]) is not None
-        finally:
-            fabric.unshard()
-
-    def test_staging_failure_aborts_whole_wave_shadow(self):
+    def test_staging_failure_aborts_whole_wave_shadow(self, host):
         # A staging failure must abort the wave while every member is
         # still shadow: no node in that wave commits, earlier waves
         # roll back.
-        fabric = fleet_fabric(6)
-        fabric.shard(2, start=False)
+        fabric = host(fleet_fabric(6))
         fabric.node("n4").channel.drop_kinds.add("update.prepare")
-        try:
-            with pytest.raises(RolloutError) as excinfo:
-                fabric.staged_rollout(
-                    srv6_load_script(),
-                    {"srv6.rp4": srv6_rp4_source()},
-                    wave_size=3,
-                )
-            err = excinfo.value
-            assert err.failed == "n4"
-            assert err.updated == ["n0", "n1", "n2", "n3"]
-            assert err.rolled_back == ["n3", "n2", "n1", "n0"]
-            assert "n5" in err.pending
-            for index in range(6):
-                assert "local_sid" not in fabric.node(
-                    f"n{index}"
-                ).switch.tables
-        finally:
-            fabric.unshard()
+        with pytest.raises(RolloutError) as excinfo:
+            fabric.staged_rollout(
+                srv6_load_script(),
+                {"srv6.rp4": srv6_rp4_source()},
+                wave_size=3,
+            )
+        err = excinfo.value
+        assert err.failed == "n4"
+        assert err.updated == ["n0", "n1", "n2", "n3"]
+        assert err.rolled_back == ["n3", "n2", "n1", "n0"]
+        assert "n5" in err.pending
+        for index in range(6):
+            assert "local_sid" not in fabric.node(
+                f"n{index}"
+            ).switch.tables
+
+
+# One rollout test body, both modes: each class above reruns on the
+# other kind of fabric through the ``host`` fixture.
+
+
+class TestStagedRolloutSharded(TestStagedRollout):
+    sharded = True
+
+
+class TestHealthGatedRolloutSharded(TestHealthGatedRollout):
+    sharded = True
+
+
+class TestShardedRolloutSerial(TestShardedRollout):
+    sharded = False
+
+
+def clear_routes(fabric, name):
+    """Empty a node's LPM table: every probe through it drops."""
+    lpm = fabric.node(name).switch.table("ipv4_lpm")
+    for entry in list(lpm.entries()):
+        lpm.remove_entry(entry)
+
+
+def fail_probes(fabric, name, monkeypatch):
+    """Make a node's front door raise, as a crashed probe would."""
+
+    def broken(trace, *args, **kwargs):
+        raise RuntimeError(f"probe crashed on {name}")
+
+    monkeypatch.setattr(fabric.node(name).switch, "inject_batch", broken)
+
+
+class TestRolloutModeParity:
+    """One wave runner: the same fault yields the same blast radius on
+    a serial fabric (here) and a sharded one
+    (``TestRolloutModeParitySharded``), and every node lands back on
+    its pre-rollout config.  Only the type of ``cause`` tells the
+    modes apart -- ``causes`` is (serial, sharded): the original
+    exception serially, a ``WorkerError`` naming the node once it
+    crossed a worker frame, and the fabric's own ``HealthGateError``
+    in both."""
+
+    FAULTS = {
+        # Staging fails on the second member of wave [n1, n2, n3]:
+        # n1 and n3 are aborted while still shadow.
+        "stage_second_member": dict(
+            n_nodes=5, wave_size=3, node="n2",
+            inject=lambda fabric, node, mp: fabric.node(
+                node
+            ).channel.drop_kinds.add("update.prepare"),
+            outcome=(["n0"], "n2", ["n0"], ["n1", "n3", "n4"]),
+            causes=(ChannelError, WorkerError),
+        ),
+        # The gate trips on the first member of wave [n1, n2]: the
+        # whole wave committed, so both roll back; [n3] never starts.
+        "gate_breach_first_member": dict(
+            n_nodes=4, wave_size=2, node="n1",
+            inject=lambda fabric, node, mp: clear_routes(fabric, node),
+            outcome=(
+                ["n0", "n1", "n2"], "n1", ["n2", "n1", "n0"], ["n3"]
+            ),
+            causes=(HealthGateError, HealthGateError),
+        ),
+        # The probe itself raises on the last member of a wave: a gate
+        # failure like any other, so nothing stays on the new design.
+        "probe_raises": dict(
+            n_nodes=5, wave_size=3, node="n3",
+            inject=fail_probes,
+            outcome=(
+                ["n0", "n1", "n2", "n3"], "n3",
+                ["n3", "n2", "n1", "n0"], ["n4"],
+            ),
+            causes=(RuntimeError, WorkerError),
+        ),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_same_blast_radius_in_both_modes(self, fault, host, monkeypatch):
+        spec = self.FAULTS[fault]
+        baseline = config_json(base_node())
+        fabric = host(fleet_fabric(spec["n_nodes"]))
+        spec["inject"](fabric, spec["node"], monkeypatch)
+        with pytest.raises(RolloutError) as excinfo:
+            fabric.staged_rollout(
+                srv6_load_script(),
+                {"srv6.rp4": srv6_rp4_source()},
+                wave_size=spec["wave_size"],
+                probe_trace=GOOD_PROBE,
+            )
+        err = excinfo.value
+        assert (
+            err.updated, err.failed, err.rolled_back, err.pending
+        ) == spec["outcome"]
+        assert type(err.cause) is spec["causes"][fabric.sharded]
+        if isinstance(err.cause, WorkerError):
+            assert err.cause.node == spec["node"]
+        for controller in fabric.nodes.values():
+            assert config_json(controller) == baseline
+
+    def test_unknown_node_fails_before_anything_is_staged(self, host):
+        fabric = host(fleet_fabric(2))
+        n0 = fabric.node("n0")
+        epoch, config = n0.switch.dp.epoch, config_json(n0)
+        with pytest.raises(FabricError, match="ghost") as excinfo:
+            fabric.staged_rollout(
+                srv6_load_script(),
+                {"srv6.rp4": srv6_rp4_source()},
+                nodes=["n0", "ghost"],
+            )
+        assert not isinstance(excinfo.value, RolloutError)
+        assert n0.switch.dp.epoch == epoch
+        assert config_json(n0) == config
+
+
+class TestRolloutModeParitySharded(TestRolloutModeParity):
+    sharded = True
 
 
 class TestPerHopRegistryMetrics:

