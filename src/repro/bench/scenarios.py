@@ -34,7 +34,7 @@ from repro.programs.p4_variants import (
     srv6_p4_source,
 )
 from repro.runtime.controller import Controller
-from repro.workloads.traces import mixed_l3_trace, use_case_trace
+from repro.workloads import mixed_l3_trace, use_case_trace  # NumPy-gated
 
 Trace = List[Tuple[bytes, int]]
 

@@ -17,11 +17,14 @@ evaluations, and table probes thousands of times.  This module runs
    drop/divergence, scatter dirty fields back into the byte matrix,
    and emit survivors.
 
-Anything the kernels cannot express -- variable-length headers (the
-INT shim, SRH), externs, ternary/range engines, arithmetic that could
-overflow 64 bits -- *peels*: those rows fall back to the scalar
-per-packet loop, at their original batch positions, so a mixed batch
-is byte-for-byte identical to N ``inject`` calls.
+A varbit header whose length is one fixed count field times a unit
+(the INT hop stack, the SRH segment list) is fixed-width *per
+signature*: classification splits its rows by the count, which joins
+the signature key.  Anything the kernels cannot express -- other
+variable-length headers, externs, ternary/range engines, arithmetic
+that could overflow 64 bits -- *peels*: those rows fall back to the
+scalar per-packet loop, at their original batch positions, so a mixed
+batch is byte-for-byte identical to N ``inject`` calls.
 
 Cache coherence rides on the scalar plan cache: the compiled columnar
 program is keyed on the scalar plan **object** (see
@@ -45,6 +48,7 @@ except ImportError:  # pragma: no cover
 
 from repro.lang import expr as lang
 from repro.net.fields import mask_to_width
+from repro.net.headers import INT_ETHERTYPE, INT_HOP_BYTES, INT_HOP_FIELDS
 from repro.obs.trace import DropReason
 from repro.tables import actions as act
 
@@ -56,7 +60,7 @@ NUMPY_HINT = (
 )
 
 #: Primitive names with a vector kernel; everything else peels.
-_VECTOR_PRIMS = ("drop", "mark_to_cpu", "no_op", "decrement_ttl")
+_VECTOR_PRIMS = ("drop", "mark_to_cpu", "no_op", "decrement_ttl", "push_int")
 
 _MISSING = object()
 _NEVER = object()  # arm predicate that is constant-false for the signature
@@ -176,10 +180,11 @@ def _chain_recipes(np, chain):
 
     Layout math mirrors :meth:`repro.net.headers.HeaderType.unpack`:
     a field's start bit is ``fixed_bits - shift - width`` into the
-    header, at byte offset ``off`` in the packet.
+    header, at byte offset ``off`` in the packet.  A varbit part has no
+    recipe: nothing reads it column-wise.
     """
     recipes: Dict[str, Optional[tuple]] = {}
-    for name, htype, off in chain:
+    for name, htype, off, _vbytes in chain:
         for fname, shift, mask, width in htype._layout:
             start_bit = off * 8 + (htype.fixed_bits - shift - width)
             recipes[f"{name}.{fname}"] = _make_recipe(np, start_bit, width)
@@ -198,24 +203,30 @@ class PacketColumns:
     Header fields extract on first read and scatter back at emit when
     dirty; metadata fields broadcast from the device template (with
     ``ingress_port`` / ``packet_length`` taken per row).  128-bit
-    fields are ``(hi, lo)`` uint64 pairs.
+    fields are ``(hi, lo)`` uint64 pairs.  On an INT device ``stamps``
+    is the rows' ``meta.ingress_ts_ns`` column, and ``pushes`` collects the
+    ``(rows, bytes)`` blocks :func:`_compile_push_int` kernels splice
+    in at emit.
     """
 
     __slots__ = (
-        "np", "m", "mat", "lengths", "ports", "recipes", "template",
-        "cols", "dirty",
+        "np", "m", "mat", "lengths", "ports", "stamps", "recipes",
+        "template", "cols", "dirty", "pushes",
     )
 
-    def __init__(self, np, mat, lengths, ports, recipes, template):
+    def __init__(self, np, mat, lengths, ports, recipes, template,
+                 stamps=None):
         self.np = np
         self.mat = mat
         self.lengths = lengths
         self.ports = ports
+        self.stamps = stamps
         self.m = mat.shape[0]
         self.recipes = recipes
         self.template = template
         self.cols: Dict[str, object] = {}
         self.dirty: Dict[str, bool] = {}
+        self.pushes: List[tuple] = []
 
     def get(self, ref: str):
         col = self.cols.get(ref)
@@ -232,6 +243,8 @@ class PacketColumns:
                 return self.ports.astype(np.uint64)
             if name == "packet_length":
                 return self.lengths.astype(np.uint64)
+            if name == "ingress_ts_ns" and self.stamps is not None:
+                return self.stamps
             return np.full(
                 self.m, int(self.template.get(name, 0)), np.uint64
             )
@@ -265,9 +278,11 @@ class PacketColumns:
 # --------------------------------------------------------------------------
 
 
-def _selector_recipe(np, htype, off, selector):
+def _field_extractor(np, htype, off, field):
+    """Column extractor for one fixed field of a header at ``off``
+    (``None``: unknown field, or wider than one uint64 column)."""
     for fname, shift, mask, width in htype._layout:
-        if fname == selector:
+        if fname == field:
             if width > 64:
                 return None
             start_bit = off * 8 + (htype.fixed_bits - shift - width)
@@ -277,7 +292,7 @@ def _selector_recipe(np, htype, off, selector):
 
 
 def _merge_group(groups, chain, terminal, rows):
-    key = (tuple(c[0] for c in chain), terminal)
+    key = (tuple((c[0], c[3]) for c in chain), terminal)
     entry = groups.get(key)
     if entry is None:
         groups[key] = (chain, terminal, [rows])
@@ -285,15 +300,19 @@ def _merge_group(groups, chain, terminal, rows):
         entry[2].append(rows)
 
 
-def _classify(np, items, header_types, linkage, first_header):
+def classify(np, items, header_types, linkage, first_header):
     """Batch-wide parse walk.
 
     Returns ``(mat, lengths, ports, groups, peel)`` where ``groups``
-    maps ``(chain names, terminal)`` to ``(chain, terminal, row index
-    arrays)`` and ``peel`` collects rows that diverge: variable-length
-    headers in the chain, rows too short for a fixed header (the
-    scalar parser raises), duplicate instance names, or selectors the
-    recipes cannot extract.
+    maps a signature key to ``(chain, terminal, row index arrays)``;
+    ``chain`` holds one ``(name, htype, byte offset, varbit bytes)``
+    entry per header.  A varbit header with a count field splits its
+    rows by the count, so inside one signature it is fixed-width and
+    every later offset is a constant.  ``peel`` collects rows that
+    diverge: other variable-length headers, rows too short for a header
+    (the scalar parser raises), duplicate instance names, or selectors
+    the recipes cannot extract.  The edge INT collector shares it
+    (:meth:`repro.obs.intcol.IntCollector.ingest_batch`).
     """
     n = len(items)
     lengths = np.array([len(d) for d, _p in items], dtype=np.int64)
@@ -314,7 +333,15 @@ def _classify(np, items, header_types, linkage, first_header):
                 mat[i, : len(data)] = np.frombuffer(data, np.uint8)
     groups: Dict[tuple, tuple] = {}
     peel: List = []
-    sel_cache: Dict[tuple, object] = {}
+    extractors: Dict[tuple, object] = {}
+
+    def extractor(htype, off, field):
+        key = (htype.name, off, field)
+        extract = extractors.get(key, _MISSING)
+        if extract is _MISSING:
+            extract = extractors[key] = _field_extractor(np, htype, off, field)
+        return extract
+
     pending = [(first_header, 0, (), np.arange(n, dtype=np.int64))]
     while pending:
         expected, off, chain, rows = pending.pop()
@@ -324,9 +351,7 @@ def _classify(np, items, header_types, linkage, first_header):
             _merge_group(groups, chain, expected, rows)
             continue
         htype = header_types[expected]
-        if htype.varlen_field is not None or any(
-            c[0] == expected for c in chain
-        ):
+        if any(c[0] == expected for c in chain):
             peel.append(rows)
             continue
         need = off + htype._fixed_bytes
@@ -337,25 +362,42 @@ def _classify(np, items, header_types, linkage, first_header):
         rows = rows[ok]
         if rows.size == 0:
             continue
-        new_chain = chain + ((expected, htype, off),)
+        if htype.varlen_field is None:
+            splits = [(0, rows)]
+        else:
+            count = htype.varlen_count
+            extract = None if count is None else extractor(htype, off, count[0])
+            if extract is None:
+                peel.append(rows)
+                continue
+            counts = extract(mat)[rows]
+            splits = []
+            for value in _distinct(np, counts).tolist():
+                sub = rows[counts == value]
+                vbytes = value * count[1]
+                fits = lengths[sub] >= need + vbytes
+                if not fits.all():
+                    peel.append(sub[~fits])
+                    sub = sub[fits]
+                splits.append((vbytes, sub))
         selector = linkage.selector(expected)
-        if selector is None:
-            _merge_group(groups, new_chain, None, rows)
-            continue
-        cache_key = (expected, off)
-        extract = sel_cache.get(cache_key, _MISSING)
-        if extract is _MISSING:
-            extract = _selector_recipe(np, htype, off, selector)
-            sel_cache[cache_key] = extract
-        if extract is None:
-            peel.append(rows)
-            continue
-        tags = extract(mat)[rows]
-        for tag in _distinct(np, tags):
-            sub = rows[tags == tag]
-            pending.append(
-                (linkage.next_header(expected, int(tag)), need, new_chain, sub)
-            )
+        extract = None if selector is None else extractor(htype, off, selector)
+        for vbytes, sub in splits:
+            if sub.size == 0:
+                continue
+            new_chain = chain + ((expected, htype, off, vbytes),)
+            if selector is None:
+                _merge_group(groups, new_chain, None, sub)
+                continue
+            if extract is None:
+                peel.append(sub)
+                continue
+            tags = extract(mat)[sub]
+            for tag in _distinct(np, tags):
+                pending.append((
+                    linkage.next_header(expected, int(tag)),
+                    need + vbytes, new_chain, sub[tags == tag],
+                ))
     return mat, lengths, ports, groups, peel
 
 
@@ -418,13 +460,31 @@ class _ParseSim:
 
 
 class _Ctx:
-    __slots__ = ("np", "validity", "template", "recipes")
+    """What one signature's kernels compile against.  ``chain`` and
+    ``device`` are set for IPSA only (``push_int`` needs the layout);
+    ``push_at`` is the splice offset once a ``push_int`` compiled."""
 
-    def __init__(self, np, validity, template, recipes):
+    __slots__ = ("np", "validity", "template", "recipes", "chain", "device",
+                 "push_at")
+
+    def __init__(self, np, validity, template, recipes, chain=None,
+                 device=None):
         self.np = np
         self.validity = validity
         self.template = template
         self.recipes = recipes
+        self.chain = chain
+        self.device = device
+        self.push_at = None
+
+
+def _check_unshifted(ref: str, ctx: _Ctx) -> None:
+    """After a ``push_int``, a read of the shim or of the EtherType it
+    rewrote would see the pre-push matrix: such signatures peel."""
+    if ctx.push_at is not None and (
+        ref.startswith("int_shim.") or ref == "ethernet.ethertype"
+    ):
+        raise _Ineligible(ref)
 
 
 def _sel(col, rows):
@@ -447,6 +507,7 @@ def _compile_ref(ref: str, ctx: _Ctx):
             ):
                 raise _Ineligible(ref)
         return (lambda pc, rows, bound: _sel(pc.get(ref), rows)), 64
+    _check_unshifted(ref, ctx)
     recipe = ctx.recipes.get(ref)
     if recipe is None or scope not in ctx.validity:
         raise _Ineligible(ref)
@@ -571,6 +632,7 @@ def _compile_pred_value(expr, ctx: _Ctx):
         _check_const(expr.value)
         return ("const", expr.value)
     if isinstance(expr, lang.EValid):
+        _check_unshifted(expr.header + ".", ctx)
         return ("const", 1 if expr.header in ctx.validity else 0)
     if isinstance(expr, lang.ERef):
         fn, bits = _compile_ref(expr.ref, ctx)
@@ -753,7 +815,7 @@ def _compile_action(adef, ctx: _Ctx):
 
                 kernels.append(field_kernel)
         elif isinstance(op, act.PyPrimitive):
-            kernel = _compile_primitive(op.name, ctx)
+            kernel = _compile_primitive(op.name, ctx, params)
             if kernel is not None:
                 kernels.append(kernel)
         else:
@@ -766,7 +828,7 @@ def _compile_action(adef, ctx: _Ctx):
     return run
 
 
-def _compile_primitive(name: str, ctx: _Ctx):
+def _compile_primitive(name: str, ctx: _Ctx, params: Dict[str, int]):
     np = ctx.np
     if name == "no_op":
         return None
@@ -806,7 +868,99 @@ def _compile_primitive(name: str, ctx: _Ctx):
                 pc.set_meta("drop", np.uint64(1), rows[expired])
 
         return ttl_kernel
+    if name == "push_int":
+        return _compile_push_int(ctx, params)
     raise _Ineligible(name)
+
+
+#: The ``int_shim`` fixed part ``push_int`` writes (the rP4 INT programs
+#: and :data:`repro.net.headers.INT_SHIM` declare exactly this).
+_INT_SHIM_FIELDS = [("orig_ethertype", 16), ("hop_count", 8)]
+_MASK64 = (1 << 64) - 1
+
+
+def _compile_push_int(ctx: _Ctx, params: Dict[str, int]):
+    """:func:`repro.tables.primitives.prim_push_int` for one signature.
+
+    Shim validity is a signature constant and the stack is
+    ``count x INT_HOP_BYTES`` fixed bytes, so the record lands at one
+    offset for every row: the end of the stack on a transit hop, right
+    behind Ethernet (with a fresh 3-byte shim) on the first.  The
+    kernel builds each firing row's record as an ``(m, 18)`` byte block
+    -- switch id from the parameter column, ingress stamp from the
+    batch column, one ``int_clock.now()`` per row for egress, TM
+    occupancy and plan epoch once -- updates ``hop_count`` (or the
+    EtherType) through :meth:`PacketColumns.set_field`, and leaves the
+    block for :func:`_emit_rows` to splice in after every stage ran on
+    the unshifted matrix.
+    """
+    np = ctx.np
+    device = ctx.device
+    if ctx.chain is None or ctx.push_at is not None:
+        raise _Ineligible("push_int")  # PISA, or a second push
+    width = params.get("switch_id")
+    if width is not None and width > 64:
+        raise _Ineligible("switch_id")
+    shim = (getattr(device, "header_types", None) or {}).get("int_shim")
+    if (
+        shim is None
+        or [(f.name, f.width) for f in shim.fields] != _INT_SHIM_FIELDS
+        or shim.varlen_count != ("hop_count", INT_HOP_BYTES)
+        or "ethernet" not in ctx.validity
+        or ctx.recipes.get("ethernet.ethertype") is None
+    ):
+        raise _Ineligible("push_int")  # scalar drops, or no fixed layout
+    layout = {name: (htype, off, vbytes) for name, htype, off, vbytes in ctx.chain}
+    first = "int_shim" not in layout
+    if first:
+        htype, off, _vbytes = layout["ethernet"]
+        ctx.push_at = off + htype._fixed_bytes
+    elif "int_shim" in ctx.validity:
+        htype, off, vbytes = layout["int_shim"]
+        ctx.push_at = off + htype._fixed_bytes + vbytes
+    else:
+        raise _Ineligible("int_shim")  # on the wire but not parsed yet
+    one = np.uint64(1)
+
+    def be_bytes(values, width):
+        """Big-endian ``width``-bit field bytes, one row per value."""
+        values = values & np.uint64((1 << width) - 1)
+        return values.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - width // 8:]
+
+    def push_kernel(pc, rows, bound):
+        m = rows.size
+        if m == 0:
+            return
+        clock = device.int_clock
+        if clock is None:
+            egress = np.zeros(m, np.uint64)
+        else:
+            egress = np.array(
+                [int(clock.now() * 1e9) & _MASK64 for _ in range(m)], np.uint64
+            )
+        record = {
+            "switch_id": np.broadcast_to(
+                bound.get("switch_id", np.uint64(0)), (m,)
+            ),
+            "ingress_ts": (
+                egress if pc.stamps is None
+                else pc.get("meta.ingress_ts_ns")[rows]
+            ),
+            "egress_ts": egress,
+            "queue_depth": np.full(m, device.pipeline.tm.occupancy(), np.uint64),
+            "dp_epoch": np.full(m, device.dp.epoch, np.uint64),
+        }
+        parts = [be_bytes(record[name], width) for name, width in INT_HOP_FIELDS]
+        if first:
+            orig = pc.get("ethernet.ethertype")[rows]
+            parts[:0] = [be_bytes(orig, 16), np.ones((m, 1), np.uint8)]
+            pc.set_field("ethernet.ethertype", np.uint64(INT_ETHERTYPE), rows)
+        else:
+            count = pc.get("int_shim.hop_count")[rows]
+            pc.set_field("int_shim.hop_count", count + one, rows)
+        pc.pushes.append((rows, np.concatenate(parts, axis=1)))
+
+    return push_kernel
 
 
 def _param_columns(np, adef, datas):
@@ -845,6 +999,7 @@ def _make_key_getter(ref: str, nbytes: int, ctx: _Ctx):
         _compile_ref(ref, ctx)  # template/eligibility validation
         wide = False
     else:
+        _check_unshifted(ref, ctx)
         recipe = ctx.recipes.get(ref)
         if recipe is None or scope not in ctx.validity:
             raise _Ineligible(ref)
@@ -1065,7 +1220,7 @@ def _compile_ipsa_sig(core, plan, chain, terminal, prog) -> _SigPlan:
     sp = _SigPlan()
     recipes = _chain_recipes(np, chain)
     sim = _ParseSim(chain, terminal, prog.linkage)
-    ctx = _Ctx(np, sim.parsed, prog.template, recipes)
+    ctx = _Ctx(np, sim.parsed, prog.template, recipes, chain, device)
     sp.ctx = ctx
     sp.recipes = recipes
 
@@ -1074,6 +1229,8 @@ def _compile_ipsa_sig(core, plan, chain, terminal, prog) -> _SigPlan:
         for tsp_plan in tsp_plans:
             stages = []
             for stage_plan in tsp_plan.stages:
+                if ctx.push_at is not None and "int_shim" in stage_plan.parse_list:
+                    raise _Ineligible("int_shim")  # parses past a pushed shim
                 stage = _StageExec()
                 stage.parse_count = sim.ensure(stage_plan.parse_list)
                 arms = []
@@ -1170,7 +1327,7 @@ def _finish_layout(sp: _SigPlan, chain, parsed_count: int) -> None:
     matrix instead of peeling such packets.
     """
     fixups = []
-    for name, htype, off in chain[:parsed_count]:
+    for _name, htype, off, _vbytes in chain[:parsed_count]:
         pad = htype._pad_bits
         if pad:
             fixups.append(
@@ -1336,72 +1493,68 @@ def _run_pisa_group(sp: _SigPlan, pc, rows_global, outputs, device):
 
 
 def _emit_rows(sp, pc, final, rows_global, outputs, device, deparser):
-    """Scatter dirty columns, zero pad bits, and emit survivors.
+    """Scatter dirty columns, zero pad bits, splice pushed INT records,
+    and emit survivors.
 
     Row ``r`` of the byte matrix is the original packet with its
     parsed prefix rewritten in place, so the first ``lengths[r]`` bytes
-    of the row are exactly what scalar ``Packet.emit`` produces: the
-    survivors leave as slices of one ``tobytes()`` image.
+    of the row are exactly what scalar ``Packet.emit`` produces; a row
+    that ran ``push_int`` additionally gets its record block inserted
+    at ``sp.ctx.push_at``.  The survivors leave as slices of ``tobytes()``
+    images.
     """
     if final.size == 0:
         return
     np = pc.np
-    from repro.dp.frontdoor import PortOut
-
     all_rows = np.arange(pc.m)
     for ref in pc.dirty:
         scatter = sp.recipes[ref][1]
         scatter(pc.mat, pc.cols[ref], all_rows)
     for byte_index, mask in sp.pad_fixups:
         pc.mat[:, byte_index] &= mask
+    ports = pc.get("meta.egress_spec")
+    to_cpu = pc.get("meta.to_cpu") != 0
+    device.packets_out += int(final.size)
+    device.punted += int(np.count_nonzero(to_cpu[final]))
+    if deparser is not None:
+        deparser.stats.packets += int(final.size)
+        deparser.stats.bytes_emitted += int(pc.lengths[final].sum())
+    if pc.pushes:
+        block = np.zeros((pc.m, pc.pushes[0][1].shape[1]), np.uint8)
+        pushed = np.zeros(pc.m, bool)
+        for rows, rows_block in pc.pushes:
+            block[rows] = rows_block
+            pushed[rows] = True
+        grown = final[pushed[final]]
+        final = final[~pushed[final]]
+        at = sp.ctx.push_at
+        spliced = np.concatenate(
+            (pc.mat[grown, :at], block[grown], pc.mat[grown, at:]), axis=1
+        )
+        _emit_image(
+            spliced, pc.lengths[grown] + block.shape[1], rows_global[grown],
+            ports[grown], to_cpu[grown], outputs,
+        )
     whole = final.size == pc.m
-    image = (pc.mat if whole else pc.mat[final]).tobytes()
-    stride = pc.mat.shape[1]
-    lengths = pc.lengths if whole else pc.lengths[final]
-    to_cpu = pc.get("meta.to_cpu")[final] != 0
+    _emit_image(
+        pc.mat if whole else pc.mat[final],
+        pc.lengths if whole else pc.lengths[final],
+        rows_global[final], ports[final], to_cpu[final], outputs,
+    )
+
+
+def _emit_image(mat, lengths, indices, ports, to_cpu, outputs) -> None:
+    """One ``PortOut`` per row of ``mat``: its first ``lengths`` bytes."""
+    from repro.dp.frontdoor import PortOut
+
+    image = mat.tobytes()
+    stride = mat.shape[1]
     start = 0
     for index, port, length, cpu in zip(
-        rows_global[final].tolist(),
-        pc.get("meta.egress_spec")[final].tolist(),
-        lengths.tolist(),
-        to_cpu.tolist(),
+        indices.tolist(), ports.tolist(), lengths.tolist(), to_cpu.tolist()
     ):
         outputs[index] = PortOut(port, image[start:start + length], cpu)
         start += stride
-    device.packets_out += int(final.size)
-    device.punted += int(np.count_nonzero(to_cpu))
-    if deparser is not None:
-        deparser.stats.packets += int(final.size)
-        deparser.stats.bytes_emitted += int(lengths.sum())
-
-
-# --------------------------------------------------------------------------
-# Scalar peel: divergent rows at their original positions
-# --------------------------------------------------------------------------
-
-
-def _run_scalar_rows(core, items, indices, outputs) -> None:
-    """The frontdoor scalar loop, replayed for the peeled rows only."""
-    from repro.dp.frontdoor import finish_unicast
-    from repro.dp.hooks import NULL_HOOKS
-    from repro.net.packet import Packet
-
-    device = core.device
-    first_header = core.first_header()
-    template = core.metadata_template
-    observe = device._packet_bytes.observe
-    process = core.process
-    for index in indices:
-        data, port = items[index]
-        device.packets_in += 1
-        device.clock += 1
-        observe(len(data))
-        metadata = dict(template)
-        metadata["ingress_port"] = port
-        metadata["packet_length"] = len(data)
-        packet = Packet(data, first_header=first_header, metadata=metadata)
-        outcome = process(packet, NULL_HOOKS, None)
-        outputs[index] = finish_unicast(core, NULL_HOOKS, None, outcome)
 
 
 # --------------------------------------------------------------------------
@@ -1469,12 +1622,14 @@ class ColumnarProgram:
 MIN_BATCH_ROWS = 8
 
 
-def try_run_batch(core, items) -> Optional[List[object]]:
+def try_run_batch(core, items, stamps=None) -> Optional[List[object]]:
     """Run a whole ``(data, port)`` batch columnar.
 
-    Returns the per-row ``PortOut | None`` outputs list, or ``None``
-    when the batch should run on the scalar loop instead (no NumPy,
-    unsupported architecture/state, too few rows to amortize the
+    ``stamps`` are the rows' INT ingress timestamps (ns), read by the
+    front door when the batch entered; ``None`` when the device has no
+    INT clock.  Returns the per-row ``PortOut | None`` outputs list, or
+    ``None`` when the batch should run on the scalar loop instead (no
+    NumPy, unsupported architecture/state, too few rows to amortize the
     column build, or nothing vectorizable in it).
     """
     np = _numpy()
@@ -1496,7 +1651,7 @@ def try_run_batch(core, items) -> Optional[List[object]]:
         return None
     if prog.arch == "ipsa" and device.pipeline.tm.occupancy() != 0:
         return None  # leftover TM state: keep the scalar path honest
-    mat, lengths, ports, groups, peel = _classify(
+    mat, lengths, ports, groups, peel = classify(
         np, items, prog.header_types, prog.linkage, prog.first_header
     )
     runnable = []
@@ -1514,10 +1669,14 @@ def try_run_batch(core, items) -> Optional[List[object]]:
     if not runnable:
         return None  # nothing vectorizable: plain scalar loop is cheaper
     outputs: List[object] = [None] * n
+    stamp_col = None
+    if stamps is not None:
+        stamp_col = np.array([stamp & _MASK64 for stamp in stamps], np.uint64)
     for sp, rows in runnable:
         pc = PacketColumns(
             np, mat[rows], lengths[rows], ports[rows],
             sp.recipes, prog.template,
+            None if stamp_col is None else stamp_col[rows],
         )
         device.packets_in += pc.m
         device.clock += pc.m
@@ -1527,6 +1686,8 @@ def try_run_batch(core, items) -> Optional[List[object]]:
         else:
             _run_pisa_group(sp, pc, rows, outputs, device)
     if peel_arrays:
+        from repro.dp.frontdoor import run_scalar_rows
+
         peeled = np.sort(np.concatenate(peel_arrays))
-        _run_scalar_rows(core, items, peeled.tolist(), outputs)
+        run_scalar_rows(core, items, peeled.tolist(), outputs, stamps)
     return outputs

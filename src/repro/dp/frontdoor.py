@@ -174,39 +174,47 @@ def inject_batch(
     tracer attached each packet still gets its own trace (begin/end
     must bracket each packet), so the batch simply loops ``inject``;
     otherwise hooks, plan, metadata template, and serializer resolve
-    once for the whole batch.
+    once for the whole batch.  On an INT device every row's ingress
+    stamp is read here, once per row in index order -- the reads the
+    per-packet loop makes -- whichever path then runs the row.
     """
     device = core.device
-    outputs: List[Optional[PortOut]] = []
     if device.tracer is not None:
-        for data, port in trace:
-            outputs.append(inject(core, data, port, meter))
-        return BatchResult(outputs)
+        return BatchResult([inject(core, data, port, meter) for data, port in trace])
 
     core.plan()  # compile outside the per-packet loop
-    profiler = device.profiler
+    items = trace if isinstance(trace, list) else list(trace)
     int_clock = getattr(device, "int_clock", None)
+    stamps = None
+    if int_clock is not None:
+        stamps = [int(int_clock.now() * 1e9) for _ in items]
     # Columnar fast path: homogeneous runs execute vectorized, with
     # per-packet fallback for divergent packets.  Instrumented runs
-    # (profiler / meter / INT clock) stay on the scalar loop, whose
-    # hook points the instruments were written against.
-    if (
-        core.columnar_enabled
-        and meter is None
-        and profiler is None
-        and int_clock is None
-    ):
-        items = trace if isinstance(trace, list) else list(trace)
-        columnar_outputs = columnar.try_run_batch(core, items)
+    # (profiler / meter) stay on the scalar loop, whose hook points
+    # the instruments were written against.
+    if core.columnar_enabled and meter is None and device.profiler is None:
+        columnar_outputs = columnar.try_run_batch(core, items, stamps)
         if columnar_outputs is not None:
             return BatchResult(columnar_outputs)
-        trace = items
+    outputs: List[Optional[PortOut]] = [None] * len(items)
+    run_scalar_rows(core, items, range(len(items)), outputs, stamps, meter)
+    return BatchResult(outputs)
+
+
+def run_scalar_rows(core, items, indices, outputs, stamps=None, meter=None):
+    """The per-packet loop over ``items[i]`` for ``i`` in ``indices``,
+    writing ``outputs[i]``: the whole batch on the scalar path, the
+    peeled rows on the columnar one.  ``stamps[i]`` is row ``i``'s INT
+    ingress stamp (``None``: no INT clock)."""
+    device = core.device
+    profiler = device.profiler
     hooks = NULL_HOOKS if profiler is None else ProfileHooks(profiler)
     first_header = core.first_header()
     template = core.metadata_template
     observe = device._packet_bytes.observe
     process = core.process
-    for data, port in trace:
+    for index in indices:
+        data, port = items[index]
         device.packets_in += 1
         device.clock += 1
         observe(len(data))
@@ -215,9 +223,8 @@ def inject_batch(
         metadata = dict(template)
         metadata["ingress_port"] = port
         metadata["packet_length"] = len(data)
-        if int_clock is not None:
-            metadata["ingress_ts_ns"] = int(int_clock.now() * 1e9)
+        if stamps is not None:
+            metadata["ingress_ts_ns"] = stamps[index]
         packet = Packet(data, first_header=first_header, metadata=metadata)
         outcome = process(packet, hooks, meter)
-        outputs.append(finish_unicast(core, hooks, None, outcome))
-    return BatchResult(outputs)
+        outputs[index] = finish_unicast(core, hooks, None, outcome)

@@ -92,12 +92,8 @@ def register_header(
     varlen = spec.get("varlen")
     if varlen is not None:
         vname, count_field, unit = varlen
-
-        def stack_bytes(values: dict, _count=count_field, _unit=unit) -> int:
-            return int(values.get(_count, 0)) * _unit
-
         header_types[name] = HeaderType(
-            name, fields, varlen_field=vname, varlen_bytes=stack_bytes
+            name, fields, varlen_field=vname, varlen_count=(count_field, unit)
         )
     else:
         header_types[name] = HeaderType(name, fields)

@@ -2,9 +2,9 @@
 
 A :class:`HeaderType` is an ordered list of bit-accurate fields, with
 optional support for one variable-length trailing byte field whose
-length is computed from already-decoded fields (used by the SRv6 SRH
-segment list).  A :class:`HeaderInstance` is a concrete parsed header:
-a type plus field values.
+length is computed from already-decoded fields (the SRv6 SRH segment
+list, the INT hop stack).  A :class:`HeaderInstance` is a concrete
+parsed header: a type plus field values.
 
 Both the PISA front-end parser and IPSA's distributed per-stage
 parsers decode packets into these instances; the instances (not the
@@ -47,6 +47,11 @@ class HeaderType:
     varlen_bytes:
         Callable mapping the decoded fixed-field values to the length
         in bytes of the variable part.
+    varlen_count:
+        ``(count field, unit bytes)``: the variable part is the value
+        of one fixed field times a constant.  Implies ``varlen_bytes``
+        and lets a batch parser read the length off one column
+        (``repro.dp.columnar`` folds the count into the signature).
     """
 
     def __init__(
@@ -55,9 +60,23 @@ class HeaderType:
         fields: List[FieldDef],
         varlen_field: Optional[str] = None,
         varlen_bytes: Optional[Callable[[Dict[str, int]], int]] = None,
+        varlen_count: Optional[Tuple[str, int]] = None,
     ) -> None:
         if not fields:
             raise ValueError(f"header type {name!r} needs at least one field")
+        if varlen_count is not None:
+            if varlen_bytes is not None:
+                raise ValueError("give varlen_bytes or varlen_count, not both")
+            count_field, unit = varlen_count
+            if count_field not in {f.name for f in fields}:
+                raise ValueError(
+                    f"varlen count {count_field!r} is not a fixed field of {name!r}"
+                )
+
+            def varlen_bytes(values, _count=count_field, _unit=unit) -> int:
+                return int(values.get(_count, 0)) * _unit
+
+        self.varlen_count = varlen_count
         if (varlen_field is None) != (varlen_bytes is None):
             raise ValueError("varlen_field and varlen_bytes must be given together")
         self.name = name
@@ -214,12 +233,6 @@ class HeaderInstance:
         return f"HeaderInstance({self.name!r})"
 
 
-def _srh_seglist_bytes(values: Dict[str, int]) -> int:
-    # RFC 8754: total ext header length is (hdr_ext_len + 1) * 8 bytes,
-    # of which the first 8 are the fixed part.
-    return values.get("hdr_ext_len", 0) * 8
-
-
 #: Ethertype announcing an INT shim between Ethernet and L3.
 INT_ETHERTYPE = 0x1234
 
@@ -235,10 +248,6 @@ INT_HOP_FIELDS: Tuple[Tuple[str, int], ...] = (
     ("dp_epoch", 16),
 )
 INT_HOP_BYTES = sum(width for _name, width in INT_HOP_FIELDS) // 8
-
-
-def _int_stack_bytes(values: Dict[str, int]) -> int:
-    return values.get("hop_count", 0) * INT_HOP_BYTES
 
 
 ETHERNET = HeaderType(
@@ -301,14 +310,16 @@ SRH = HeaderType(
         FieldDef("tag", 16),
     ],
     varlen_field="segment_list",
-    varlen_bytes=_srh_seglist_bytes,
+    # RFC 8754: total ext header length is (hdr_ext_len + 1) * 8 bytes,
+    # of which the first 8 are the fixed part.
+    varlen_count=("hdr_ext_len", 8),
 )
 
 INT_SHIM = HeaderType(
     "int_shim",
     [FieldDef("orig_ethertype", 16), FieldDef("hop_count", 8)],
     varlen_field="hop_stack",
-    varlen_bytes=_int_stack_bytes,
+    varlen_count=("hop_count", INT_HOP_BYTES),
 )
 
 TCP = HeaderType(

@@ -3,8 +3,9 @@
 Transit switches push one 18-byte hop record per traversal (see
 ``repro.net.headers.INT_HOP_FIELDS``); this module is the sink side.
 :class:`IntCollector` consumes instrumented packets -- either wire
-bytes via :meth:`IntCollector.ingest` (the :class:`~repro.runtime.
-fabric.Fabric` delivery hook) or already-parsed hop stacks via
+bytes via :meth:`IntCollector.ingest` / :meth:`IntCollector.ingest_batch`
+(the :class:`~repro.runtime.fabric.Fabric` delivery hook, one batch per
+delivery round) or already-parsed hop stacks via
 :meth:`IntCollector.observe_strip` (the ``pop_int`` device hook) --
 and turns them into:
 
@@ -24,11 +25,13 @@ lines through :func:`repro.obs.export.write_jsonl`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.net.addresses import format_ipv4
 from repro.net.headers import (
     INT_ETHERTYPE,
+    INT_HOP_BYTES,
+    INT_HOP_FIELDS,
     INT_SHIM,
     HeaderType,
     int_hop_records,
@@ -49,6 +52,43 @@ _TS_MODULUS = 1 << 48
 def _ts_delta(start: int, end: int) -> int:
     """Wrap-aware difference of two 48-bit nanosecond stamps."""
     return (end - start) % _TS_MODULUS
+
+
+#: Hop dict keys in :func:`repro.net.headers.int_unpack_hop` order, plus
+#: the latency :meth:`IntCollector.ingest` annotates each hop with.
+_HOP_KEYS = [name for name, _width in reversed(INT_HOP_FIELDS)] + ["latency_ns"]
+
+
+def _decode_stacks(np, stacks):
+    """``(m, k * INT_HOP_BYTES)`` hop-stack bytes -> per row the
+    annotated hop dicts and the end-to-end latency, as
+    :meth:`IntCollector.ingest` derives them."""
+    m = stacks.shape[0]
+    k = stacks.shape[1] // INT_HOP_BYTES
+    records = np.ascontiguousarray(stacks).reshape(-1, INT_HOP_BYTES)
+    fields = {}
+    at = 0
+    for name, width in INT_HOP_FIELDS:  # big-endian, zero-extended to 64 bits
+        wide = np.zeros((records.shape[0], 8), np.uint8)
+        wide[:, 8 - width // 8:] = records[:, at:at + width // 8]
+        fields[name] = wide.view(">u8").ravel().astype(np.uint64)
+        at += width // 8
+    wrap = np.uint64(_TS_MODULUS - 1)
+    fields["latency_ns"] = (fields["egress_ts"] - fields["ingress_ts"]) & wrap
+    if k:
+        ingress = fields["ingress_ts"].reshape(m, k)[:, 0]
+        egress = fields["egress_ts"].reshape(m, k)[:, -1]
+        e2es = ((egress - ingress) & wrap).tolist()
+    else:
+        e2es = [0] * m
+    # Flat per-field lists, not an (m, k, 6) ``tolist()``: the hop dicts
+    # hold only ints (the cyclic GC does not track them), and no batch
+    # of short-lived nested lists lands in the older GC generations.
+    flat = [
+        dict(zip(_HOP_KEYS, hop))
+        for hop in zip(*(fields[key].tolist() for key in _HOP_KEYS))
+    ]
+    return [flat[row * k:(row + 1) * k] for row in range(m)], e2es
 
 
 @dataclass
@@ -92,7 +132,7 @@ class IntCollector:
         self._mismatch_packets = self.metrics.counter(
             "int.epoch_mismatch_packets"
         )
-        self.metrics.gauge("int.flows", fn=lambda: len(self._flow_paths))
+        self.metrics.gauge("int.flows", fn=self._flow_paths.__len__)
         self._e2e = self.metrics.histogram(
             "int.e2e_latency_ns", LATENCY_BOUNDS_NS
         )
@@ -136,6 +176,106 @@ class IntCollector:
         )
         return IntIngest(record=record, stripped=packet.emit())
 
+    def ingest_batch(
+        self, items: Iterable[Tuple[bytes, Optional[str], Optional[int]]]
+    ) -> List[IntIngest]:
+        """:meth:`ingest` over ``(data, node, port)`` items, in order.
+
+        The outcome -- records, path-change events, histograms,
+        stripped bytes -- is that of one :meth:`ingest` per item, but
+        the parse is one batch walk (:func:`repro.dp.columnar.classify`):
+        rows group by (shim present, ``hop_count``), each group's hop
+        stacks decode as one big-endian NumPy view and the shim strips
+        by slicing.  Without NumPy, or when the walk cannot type some
+        row (a short or malformed frame), the batch loops
+        :meth:`ingest`, which raises where the per-item calls would.
+        """
+        from repro.dp import columnar
+
+        items = list(items)
+        np = columnar._numpy()
+        decoded = None
+        if np is not None and items:
+            decoded = self._decode_batch(np, columnar, items)
+        if decoded is None:
+            return [
+                self.ingest(data, node=node, port=port)
+                for data, node, port in items
+            ]
+        out = []
+        latencies: Dict[int, List[int]] = {}
+        e2es = []
+        for (data, node, port), row in zip(items, decoded):
+            if row is None:
+                out.append(IntIngest(record=None, stripped=data))
+                continue
+            flow, hops, e2e, stripped = row
+            for hop in hops:
+                latencies.setdefault(hop["switch_id"], []).append(hop["latency_ns"])
+            e2es.append(e2e)
+            out.append(IntIngest(
+                record=self._record(flow, hops, e2e, node, port),
+                stripped=stripped,
+            ))
+        # Per histogram, observations in delivery order, as N ingests.
+        for switch_id, values in latencies.items():
+            self._hop_histogram(switch_id).observe_many(values)
+        self._e2e.observe_many(e2es)
+        return out
+
+    def _decode_batch(self, np, columnar, items):
+        """Per item ``(flow, annotated hops, e2e latency, stripped
+        bytes)``, or ``None`` for a packet without a shim; ``None``
+        overall when some row needs the per-packet parser."""
+        mat, lengths, _ports, groups, peel = columnar.classify(
+            np, [(data, 0) for data, _node, _port in items],
+            self._types, self._linkage, "ethernet",
+        )
+        if peel:
+            return None
+        decoded: List[Optional[tuple]] = [None] * len(items)
+        flows: Dict[Tuple[int, int], str] = {}
+        for chain, _terminal, row_arrays in groups.values():
+            layout = {name: (off, vbytes) for name, _h, off, vbytes in chain}
+            if "int_shim" not in layout:
+                continue
+            rows = np.sort(np.concatenate(row_arrays))
+            off, vbytes = layout["int_shim"]
+            end = off + INT_SHIM._fixed_bytes + vbytes
+            # The shim follows Ethernet, whose last field is the
+            # EtherType: the strip keeps everything but the shim, with
+            # orig_ethertype (the shim's first two bytes) in its place.
+            stripped = np.concatenate(
+                (mat[rows, :off - 2], mat[rows, off:off + 2], mat[rows, end:]),
+                axis=1,
+            )
+            image = stripped.tobytes()
+            stride = stripped.shape[1]
+            cut = lengths[rows] - (end - off)
+            hops, e2es = _decode_stacks(np, mat[rows, end - vbytes:end])
+            if "ipv4" in layout:
+                at = layout["ipv4"][0] + 12  # src_addr, then dst_addr
+                addrs = np.ascontiguousarray(mat[rows, at:at + 8])
+                row_flows = []
+                for pair in map(tuple, addrs.view(">u4").reshape(-1, 2).tolist()):
+                    flow = flows.get(pair)
+                    if flow is None:
+                        flow = flows[pair] = (
+                            f"{format_ipv4(pair[0])}->{format_ipv4(pair[1])}"
+                        )
+                    row_flows.append(flow)
+            else:  # keyed by the restored EtherType
+                orig = mat[rows, off].astype(np.int64) << 8 | mat[rows, off + 1]
+                row_flows = [f"ethertype:{value:#06x}" for value in orig.tolist()]
+            for slot, (index, length, flow, row_hops, e2e) in enumerate(
+                zip(rows.tolist(), cut.tolist(), row_flows, hops, e2es)
+            ):
+                start = slot * stride
+                decoded[index] = (
+                    flow, row_hops, e2e, image[start:start + length]
+                )
+        return decoded
+
     def observe_strip(
         self, packet: Packet, hops: List[dict], node: Optional[str] = None
     ) -> dict:
@@ -162,15 +302,6 @@ class IntCollector:
         node: Optional[str],
         port: Optional[int],
     ) -> dict:
-        index = int(self._packets.value)
-        self._packets.inc()
-        self._hop_records.inc(len(hops))
-        path = tuple(hop["switch_id"] for hop in hops)
-        epochs = sorted({hop["dp_epoch"] for hop in hops})
-        mismatch = len(epochs) > 1
-        if mismatch:
-            self._mismatch_packets.inc()
-
         annotated = []
         for hop in hops:
             latency = _ts_delta(hop["ingress_ts"], hop["egress_ts"])
@@ -182,6 +313,27 @@ class IntCollector:
             else 0
         )
         self._e2e.observe(e2e)
+        return self._record(flow, annotated, e2e, node, port)
+
+    def _record(
+        self,
+        flow: str,
+        hops: List[dict],
+        e2e: int,
+        node: Optional[str],
+        port: Optional[int],
+    ) -> dict:
+        """Counters, path-change tracking and the record of one packet
+        whose ``hops`` carry ``latency_ns`` (histograms are the
+        caller's)."""
+        index = int(self._packets.value)
+        self._packets.inc()
+        self._hop_records.inc(len(hops))
+        path = tuple(hop["switch_id"] for hop in hops)
+        epochs = sorted({hop["dp_epoch"] for hop in hops})
+        mismatch = len(epochs) > 1
+        if mismatch:
+            self._mismatch_packets.inc()
 
         previous = self._flow_paths.get(flow)
         if previous is not None and previous != path:
@@ -196,7 +348,7 @@ class IntCollector:
             "node": node,
             "port": port,
             "path": list(path),
-            "hops": annotated,
+            "hops": hops,
             "e2e_latency_ns": e2e,
             "epochs": epochs,
             "epoch_mismatch": mismatch,

@@ -436,26 +436,29 @@ class Fabric:
         )
         self.stats.dropped += len(walked.dropped)
         self.stats.loops_cut += len(walked.loops)
-        for flight in walked.exits:
-            results[flight.index] = self._deliver(
-                flight.node, flight.port, flight.data, flight.hops,
-                flight.path,
-            )
+        self._deliver([
+            (flight.index, flight.node, flight.port, flight.data,
+             flight.hops, flight.path)
+            for flight in walked.exits
+        ], results)
         return results
 
-    def _deliver(
-        self, node: str, port: int, data: bytes, hops: int, path: List[str]
-    ) -> Delivery:
-        """One packet leaving at an edge: collector ingest, then the
-        :class:`Delivery` the caller sees."""
-        self.stats.delivered += 1
+    def _deliver(self, exits: List[tuple], results) -> None:
+        """Packets leaving at an edge, as ``(index, node, port, data,
+        hops, path)`` in exit order: one collector ingest for all of
+        them, then the :class:`Delivery` each caller slot sees."""
+        self.stats.delivered += len(exits)
+        datas = [data for _i, _node, _port, data, _hops, _path in exits]
         if self.int_collector is not None:
-            ingest = self.int_collector.ingest(data, node=node, port=port)
+            ingested = self.int_collector.ingest_batch([
+                (data, node, port) for _i, node, port, data, _h, _p in exits
+            ])
             if self._int_strip:
-                data = ingest.stripped
-        return Delivery(
-            node=node, port=port, data=data, hops=hops, path=tuple(path)
-        )
+                datas = [ingest.stripped for ingest in ingested]
+        for (index, node, port, _data, hops, path), data in zip(exits, datas):
+            results[index] = Delivery(
+                node=node, port=port, data=data, hops=hops, path=tuple(path)
+            )
 
     def _walk_sharded(
         self,
@@ -484,14 +487,11 @@ class Fabric:
                     raise reply
                 self.stats.dropped += len(reply["dropped"])
                 self.stats.loops_cut += len(reply["loops"])
-                for delivery in reply["deliveries"]:
-                    results[delivery["i"]] = self._deliver(
-                        delivery["node"],
-                        delivery["port"],
-                        bytes.fromhex(delivery["data"]),
-                        delivery["hops"],
-                        delivery["path"],
-                    )
+                self._deliver([
+                    (d["i"], d["node"], d["port"], bytes.fromhex(d["data"]),
+                     d["hops"], d["path"])
+                    for d in reply["deliveries"]
+                ], results)
                 for handoff in reply["handoffs"]:
                     batches.setdefault(
                         self._worker_of(handoff["node"]), []

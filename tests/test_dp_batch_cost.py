@@ -7,7 +7,7 @@ a *fixed* number of Python-level calls -- whatever the size of the
 tables it looks up in and however many distinct entries the rows hit.
 
 Wall time cannot gate that (the box has 20% slow spells); the number
-of Python + C calls can: it is deterministic, so the three tests below
+of Python + C calls can: it is deterministic, so the tests below
 count them with ``sys.setprofile`` on the ``dev_l3_fast`` mix of
 ``perf/`` (70/30 IPv4/IPv6 to the routed networks, /18../30 routes
 under 10.2/16) and print what they measured -- run with ``-rA`` to
@@ -19,6 +19,11 @@ is resolved.  The extra routes therefore all sit in 10.2.0.0/17 and
 every burst carries rows for 10.2.128.0/17, which only the base
 design's /16 matches -- so every ``ipv4_lpm`` lookup below makes the
 same fourteen passes, and what is left to differ is what must not.
+
+The last test pins the same model on an INT transit hop: the hop count
+is part of the signature and ``push_int`` runs once per group, so a
+burst whose packets carry three hop records costs exactly the calls of
+one whose packets carry one.
 """
 
 import random
@@ -145,3 +150,54 @@ def test_calls_stay_within_the_absolute_budget():
     print(f"calls per {BURST}-row burst: {calls} @ 2048 routes, "
           f"1024 flows per family (budget {CALL_BUDGET})")
     assert calls <= CALL_BUDGET
+
+
+INT_BURST = 64
+
+#: Calls one warm 64-row INT transit burst may cost, whatever the hop
+#: count: the measured 1 371 (CPython 3.11, NumPy 2.4) + 15%.
+INT_CALL_BUDGET = 1577
+
+
+def _int_transit(hops):
+    """A base + ``int_insert`` device on a frozen INT clock, and a
+    burst of watched packets that each already carry ``hops`` records
+    (what the device sees as hop ``hops + 1`` of a fabric wave)."""
+    from repro.net.headers import INT_ETHERTYPE, int_pack_hop
+    from repro.obs.clock import ManualClock
+    from repro.programs import (
+        int_load_script,
+        int_rp4_source,
+        populate_int_tables,
+    )
+
+    controller = Controller()
+    controller.load_base(base_rp4_source())
+    populate_base_tables(controller.switch.tables)
+    controller.run_script(int_load_script(), {"int.rp4": int_rp4_source()})
+    populate_int_tables(controller.switch.tables, switch_id=hops + 1)
+    controller.switch.enable_int(ManualClock(start=1.0))
+    stack = b"".join(
+        int_pack_hop({"switch_id": j + 1, "ingress_ts": j, "egress_ts": j})
+        for j in range(hops)
+    )
+    items = []
+    for i in range(INT_BURST):
+        data = ipv4_packet("10.1.0.1", "10.2.0.1", sport=1024 + i)
+        items.append((
+            data[:12] + INT_ETHERTYPE.to_bytes(2, "big") + data[12:14]
+            + bytes([hops]) + stack + data[14:],
+            0,
+        ))
+    return controller.switch, items
+
+
+def test_int_transit_calls_do_not_grow_with_the_hop_count():
+    """An INT hop costs per group, not per record: the stack depth is a
+    signature constant, so three records cost what one does."""
+    one = _calls_per_burst(*_int_transit(1))
+    three = _calls_per_burst(*_int_transit(3))
+    print(f"calls per {INT_BURST}-row INT transit burst: {one} @ 1 hop, "
+          f"{three} @ 3 hops (budget {INT_CALL_BUDGET})")
+    assert three == one
+    assert one <= INT_CALL_BUDGET

@@ -10,9 +10,10 @@ The columnar classes extend the same contract to the vectorized batch
 path (:mod:`repro.dp.columnar`): across the whole case matrix a batch
 run with the columnar fast path enabled must be byte-identical on the
 wire -- same ports, same drop slots, same drop reasons, same table and
-stage counters -- to the scalar interpreter, including when divergent
-packets (varbit INT stacks, short frames, unknown EtherTypes) are
-peeled out of an otherwise homogeneous batch.
+stage counters -- to the scalar interpreter, including INT hops (the
+hop count folds into the signature) and when divergent packets (short
+frames, unknown EtherTypes, the ``pop_int`` sink) are peeled out of an
+otherwise homogeneous batch.
 """
 
 import random
@@ -440,44 +441,39 @@ class TestColumnarActionDispatch:
         assert _effects(untouched) == pristine
 
 
-class TestColumnarIntShimPeel:
-    """Varbit INT stacks must peel to the scalar loop, byte-identically."""
+class TestColumnarInt:
+    """INT hops run columnar: the hop count folds into the signature and
+    ``push_int`` is one kernel per group.  Under a frozen clock
+    (``ManualClock(tick=0)``) the columnar batch must equal the scalar
+    loop on bytes, ports, counters, ``headers_parsed`` and drop
+    reasons; the ``int_strip`` sink (``pop_int``) still peels."""
 
-    @staticmethod
-    def _int_trace(n=8):
-        """Packets wearing an INT shim + hop stack, built by replaying
-        plain ipv4 through a source switch with ``int_insert`` live."""
-        from repro.programs import (
-            int_load_script,
-            int_rp4_source,
-            populate_int_tables,
-        )
+    WATCHED = ("10.1.0.1", "10.2.0.1")
+
+    @classmethod
+    def _wire(cls, hops=0, src=None, sport=1024, **kwargs):
+        """A watched-flow packet (``src`` overrides the source address)
+        already wearing ``hops`` records, as an upstream switch left it."""
+        from repro.net.headers import INT_ETHERTYPE, int_pack_hop
         from repro.workloads import ipv4_packet
 
-        source = make_ipsa_controller("base")
-        source.run_script(int_load_script(), {"int.rp4": int_rp4_source()})
-        populate_int_tables(source.switch.tables, switch_id=1)
-        source.switch.enable_int()
-        outs = [
-            source.switch.inject(
-                ipv4_packet("10.1.0.1", "10.2.0.1", sport=1024 + i), 0
-            )
-            for i in range(n)
-        ]
-        items = [(out.data, 0) for out in outs if out is not None]
-        assert items, "INT source produced no output packets"
-        return items
+        data = ipv4_packet(src or cls.WATCHED[0], cls.WATCHED[1],
+                           sport=sport, **kwargs)
+        if not hops:
+            return data
+        stack = b"".join(
+            int_pack_hop({"switch_id": 10 + j, "ingress_ts": 1000 * j,
+                          "egress_ts": 1000 * j + 7, "dp_epoch": 1})
+            for j in range(hops)
+        )
+        return (data[:12] + INT_ETHERTYPE.to_bytes(2, "big") + data[12:14]
+                + bytes([hops]) + stack + data[14:])
 
     @staticmethod
-    def _int_sink():
-        """A switch whose parse graph reaches the varbit INT stack.
-
-        Base + ``int_insert`` + ``int_strip`` (the strip function links
-        itself after the insert stage), tables populated for the sink
-        role.  INT timestamping stays *off*: ``enable_int`` would pin
-        the front door to the scalar loop, and this test needs the
-        columnar path attempted so the varbit rows actually peel.
-        """
+    def _controller(sink=False, tick=0.0):
+        """Base + ``int_insert`` (switch id 2) on a frozen INT clock;
+        ``sink`` adds ``int_strip`` and a device-side collector."""
+        from repro.obs.clock import ManualClock
         from repro.obs.intcol import IntCollector
         from repro.programs import (
             int_load_script,
@@ -489,78 +485,142 @@ class TestColumnarIntShimPeel:
         )
 
         controller = make_ipsa_controller("base")
-        controller.run_script(
-            int_load_script(), {"int.rp4": int_rp4_source()}
-        )
+        controller.run_script(int_load_script(), {"int.rp4": int_rp4_source()})
         populate_int_tables(controller.switch.tables, switch_id=2)
-        controller.run_script(
-            int_strip_load_script(),
-            {"int_strip.rp4": int_strip_rp4_source()},
-        )
-        populate_int_sink_tables(controller.switch.tables)
-        switch = controller.switch
-        switch.attach_int_collector(IntCollector(), node="sink")
-        return switch
+        if sink:
+            controller.run_script(
+                int_strip_load_script(),
+                {"int_strip.rp4": int_strip_rp4_source()},
+            )
+            populate_int_sink_tables(controller.switch.tables)
+            controller.switch.attach_int_collector(IntCollector(), node="sink")
+        controller.switch.enable_int(ManualClock(start=1.0, tick=tick))
+        return controller
 
-    def test_int_shim_batch_is_byte_identical(self):
+    def _compare(self, batches, sink=False, between=None):
+        """Run ``batches`` on a scalar and a columnar device; every batch
+        must match on the wire and the devices on every counter.
+        ``between(controller)`` runs on both between batches.  Returns
+        the columnar switch."""
+        scalar, fast = self._controller(sink), self._controller(sink)
+        scalar.switch.dp.columnar_enabled = False
+        for position, items in enumerate(batches):
+            if position and between is not None:
+                between(scalar)
+                between(fast)
+            want = scalar.switch.inject_batch(items)
+            got = fast.switch.inject_batch(items)
+            assert _wire(list(got)) == _wire(list(want))
+        assert _effects(fast.switch) == _effects(scalar.switch)
+        if sink:
+            assert (fast.switch.int_collector.records
+                    == scalar.switch.int_collector.records)
+        return fast.switch
+
+    @staticmethod
+    def _signatures(switch):
+        """``{(header, varbit bytes) chain: runs columnar}`` of the
+        switch's cached columnar program."""
+        return {
+            key[0]: sp is not None
+            for key, sp in switch.dp._columnar[1].sigs.items()
+        }
+
+    def test_first_hop_push(self):
         from repro.workloads import ipv4_packet
 
-        int_items = self._int_trace()
-        plain_items = [
-            (ipv4_packet("10.1.0.5", "10.2.0.9", sport=2000 + i), 0)
-            for i in range(len(int_items))
+        items = [
+            (self._wire(sport=1024 + i) if i % 2 else
+             ipv4_packet("10.1.0.5", "10.2.0.9", sport=1024 + i), 0)
+            for i in range(32)
         ]
-        # Interleave so the peel must scatter back into its slots.
-        mixed = [
-            item for pair in zip(plain_items, int_items) for item in pair
-        ]
-        scalar = self._int_sink()
-        scalar.dp.columnar_enabled = False
-        fast = self._int_sink()
-        scalar_batch = scalar.inject_batch(mixed)
-        fast_batch = fast.inject_batch(mixed)
-        assert _wire(list(scalar_batch)) == _wire(list(fast_batch))
-        assert _effects(scalar) == _effects(fast)
+        fast = self._compare([items])
+        assert self._signatures(fast) == {
+            (("ethernet", 0), ("ipv4", 0), ("udp", 0)): True,
+        }
 
-    def test_varbit_rows_peel_at_classification(self):
-        """The classifier sends exactly the INT-wearing rows to the
-        peel list: their parse chain reaches the varbit hop stack,
-        which has no fixed column layout.  The plain rows classify
-        into a normal signature group -- on *this* device that group
-        is then ineligible too (``int_insert`` runs an extern), so the
-        whole batch defers to the scalar loop, which is what the
-        byte-identical test above exercises end to end."""
-        from repro.dp import columnar
+    @pytest.mark.parametrize("hops", [1, 2, 3])
+    def test_transit_push(self, hops):
+        items = [(self._wire(hops, sport=1024 + i), 0) for i in range(24)]
+        items[5] = (self._wire(hops, sport=99, ttl=1), 0)  # egress drop
+        fast = self._compare([items])
+        chain = (("ethernet", 0), ("int_shim", 18 * hops), ("ipv4", 0),
+                 ("udp", 0))
+        assert self._signatures(fast) == {chain: True}
+        assert fast.drop_reasons
+
+    def test_watched_and_unwatched_flows_in_one_batch(self):
+        items = []
+        for i in range(12):
+            items += [
+                (self._wire(2, sport=1024 + i), 0),
+                (self._wire(0, sport=2048 + i), 0),
+                (self._wire(0, src="10.1.0.7", sport=3072 + i), 0),
+            ]
+        fast = self._compare([items])
+        assert all(self._signatures(fast).values())
+
+    def test_two_hop_counts_in_one_batch(self):
+        items = [
+            (self._wire(1 + i % 2, sport=1024 + i), 0) for i in range(32)
+        ]
+        fast = self._compare([items])
+        assert {
+            chain[1]: eligible
+            for chain, eligible in self._signatures(fast).items()
+        } == {("int_shim", 18): True, ("int_shim", 36): True}
+
+    def test_epoch_flip_between_batches(self):
+        from repro.obs.intcol import IntCollector
+        from repro.programs import acl_load_script, acl_rp4_source
+
+        def flip(controller):
+            controller.run_script(acl_load_script(), {"acl.rp4": acl_rp4_source()})
+
+        items = [(self._wire(1, sport=1024 + i), 0) for i in range(16)]
+        fast = self._compare([items, items], between=flip)
+        epochs = {
+            hop["dp_epoch"]
+            for out in fast.inject_batch(items)
+            for hop in IntCollector().ingest(out.data).record["hops"]
+        }
+        assert epochs == {1, fast.dp.epoch} and fast.dp.epoch > 1
+
+    def test_sink_strip_still_peels(self):
         from repro.workloads import ipv4_packet
 
-        switch = self._int_sink()
-        np = columnar.require_numpy()
-        core = switch.dp
-        plan = core.plan()
-        prog = columnar.ColumnarProgram(np, core, plan)
-        assert prog.supported
-
-        plain_items = [
-            (ipv4_packet("10.1.0.5", "10.2.0.9", sport=2000 + i), 0)
-            for i in range(8)
+        items = [
+            (self._wire(1, sport=1024 + i) if i % 2 else
+             ipv4_packet("10.1.0.5", "10.2.0.9", sport=1024 + i), 0)
+            for i in range(16)
         ]
-        int_items = self._int_trace(4)
-        items = plain_items + int_items
-        _mat, _lengths, _ports, groups, peel = columnar._classify(
-            np, items, prog.header_types, prog.linkage, prog.first_header
-        )
-        peeled = sorted(int(i) for rows in peel for i in rows)
-        assert peeled == list(range(len(plain_items), len(items)))
-        grouped = sorted(
-            int(i)
-            for _chain, _terminal, row_arrays in groups.values()
-            for rows in row_arrays
-            for i in rows
-        )
-        assert grouped == list(range(len(plain_items)))
-        # Extern-laden pipeline: every signature is ineligible, so the
-        # batch as a whole falls back rather than half-running.
-        assert columnar.try_run_batch(core, items) is None
+        fast = self._compare([items], sink=True)
+        signatures = self._signatures(fast)
+        assert signatures and not any(signatures.values())
+        assert len(fast.int_collector.records) == 8
+
+    def test_peeled_row_keeps_its_ingress_stamp(self):
+        """A row the columnar batch peels (here: a UDP header cut short,
+        which classification cannot type but no scalar stage parses)
+        still pushes its record with the stamp read at batch entry."""
+        from repro.obs.intcol import IntCollector
+
+        switch = self._controller(tick=1e-6).switch
+        items = [(self._wire(1, sport=1024 + i), 0) for i in range(16)]
+        items.append((self._wire(1, sport=99)[:-4], 0))
+        outputs = switch.inject_batch(items)
+        assert switch.dp._columnar is not None
+        hops = [
+            IntCollector().ingest(out.data).record["hops"][-1]
+            for out in outputs[:-1]
+        ]
+        last = outputs[-1]
+        assert last is not None
+        assert len(last.data) == len(items[-1][0]) + 18
+        record = 14 + 3 + 18  # behind Ethernet, the shim and one hop
+        stamp = int.from_bytes(last.data[record + 2:record + 8], "big")
+        egress = int.from_bytes(last.data[record + 8:record + 14], "big")
+        assert max(hop["ingress_ts"] for hop in hops) < stamp < egress
 
 
 class TestColumnarPlanEpochs:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench.scenarios import make_int_fabric
+from repro.dp.columnar import _numpy
 from repro.obs.clock import ManualClock
 from repro.programs import acl_load_script, acl_rp4_source
 from repro.workloads import ipv4_packet
@@ -136,3 +137,48 @@ class TestRolloutEvidence:
         assert evidence, "mid-rollout packets must record mixed epochs"
         assert all(len(r["epochs"]) > 1 for r in evidence)
         assert collector.summary()["epoch_mismatch_packets"] == len(evidence)
+
+
+@pytest.mark.parametrize("shards", [None, 2])
+class TestIntBursts:
+    """A burst of watched packets: every hop of the line is one INT
+    batch (columnar when NumPy is present), and the edge ingests each
+    delivery round as one ``ingest_batch``."""
+
+    N = 24
+
+    def send(self, shards, tick, columnar=True):
+        fabric, collector = make_int_fabric(
+            n_nodes=3, clock=ManualClock(start=1.0, tick=tick), strip="edge"
+        )
+        for controller in fabric.nodes.values():
+            controller.switch.dp.columnar_enabled = columnar
+        if shards:
+            fabric.shard(shards, start=False)
+        trace = [(watched(sport=1024 + i), 0) for i in range(self.N)]
+        deliveries = fabric.send_many("sw0", trace)
+        fabric.unshard()
+        if columnar and _numpy() is not None:  # every hop ran columnar
+            for controller in fabric.nodes.values():
+                assert all(controller.switch.dp._columnar[1].sigs.values())
+        return deliveries, collector
+
+    def test_paths_and_stamps(self, shards):
+        deliveries, collector = self.send(shards, tick=1e-6)
+        assert all(d is not None and d.data[12:14] == b"\x08\x00"
+                   for d in deliveries)
+        assert len(collector.records) == self.N
+        for record in collector.records:
+            assert record["path"] == [1, 2, 3]
+            stamps = []
+            for hop in record["hops"]:
+                assert hop["ingress_ts"] <= hop["egress_ts"]
+                stamps += [hop["ingress_ts"], hop["egress_ts"]]
+            assert stamps == sorted(stamps)
+
+    def test_frozen_clock_matches_the_scalar_loop(self, shards):
+        deliveries, collector = self.send(shards, tick=0.0)
+        want, reference = self.send(shards, tick=0.0, columnar=False)
+        assert deliveries == want
+        assert collector.records == reference.records
+        assert collector.summary() == reference.summary()

@@ -132,6 +132,108 @@ class TestIntInsertion:
         assert out is not None and out.data[12:14] == b"\x08\x00"
 
 
+def instrumented(path, src="10.1.0.1", sport=1024, inner=None):
+    """A delivered packet carrying one hop record per switch id in
+    ``path`` (``inner``: wire bytes to wrap instead of an IPv4 flow)."""
+    data = inner if inner is not None else ipv4_packet(src, "10.2.0.1", sport=sport)
+    stack = b"".join(
+        int_pack_hop({"switch_id": switch, "ingress_ts": 5000 * j + sport,
+                      "egress_ts": 5000 * j + 3 * sport, "queue_depth": j,
+                      "dp_epoch": 1 + (switch == 9)})
+        for j, switch in enumerate(path)
+    )
+    return (data[:12] + INT_ETHERTYPE.to_bytes(2, "big") + data[12:14]
+            + bytes([len(path)]) + stack + data[14:])
+
+
+class TestIngestBatch:
+    """``IntCollector.ingest_batch`` is N x ``ingest``: records, path
+    changes, histograms and stripped bytes, in delivery order."""
+
+    @staticmethod
+    def both(items):
+        from repro.obs.intcol import IntCollector
+
+        one, batch = IntCollector(), IntCollector()
+        singles = [one.ingest(data, node=node, port=port)
+                   for data, node, port in items]
+        batched = batch.ingest_batch(items)
+        return (one, singles), (batch, batched)
+
+    def test_mixed_batch_matches_per_packet_ingest(self):
+        from repro.workloads import ipv6_packet
+
+        items = []
+        for i in range(6):
+            items += [
+                (instrumented([1, 2, 3], sport=1024 + i), "sw2", 3),
+                (ipv4_packet("10.1.0.9", "10.2.0.1", sport=1024 + i), "sw2", 3),
+                (instrumented([1, 9] if i % 2 else [1, 2], src="10.1.0.2",
+                              sport=2048 + i), "sw1", 3),
+                (instrumented([4], inner=ipv6_packet(
+                    "2001:db8:1::1", "2001:db8:2::1", sport=3000 + i)), None, None),
+                (instrumented([], src="10.1.0.3", sport=4000 + i), "sw0", 1),
+            ]
+        (one, singles), (batch, batched) = self.both(items)
+        assert [r.stripped for r in batched] == [r.stripped for r in singles]
+        assert [r.record for r in batched] == [r.record for r in singles]
+        assert batch.records == one.records
+        assert batch.path_changes == one.path_changes
+        assert len(batch.path_changes) == 5
+        assert batch.metrics.to_prometheus() == one.metrics.to_prometheus()
+        assert batch.to_dicts() == one.to_dicts()
+        assert batch.summary() == one.summary()
+        assert {r["flow"] for r in batch.records} >= {"ethertype:0x86dd"}
+
+    def test_short_stack_raises_like_ingest(self):
+        """A ``hop_count`` that claims more records than the frame
+        carries fails in the parse, exactly as per-packet ingest does,
+        after the rows before it were recorded."""
+        from repro.net.packet import ParseError
+
+        good = [(instrumented([1, 2], sport=1024 + i), "sw1", 3) for i in range(9)]
+        bad = instrumented([1, 2])
+        bad = bad[:16] + bytes([40]) + bad[17:]  # 40 hops, 2 on the wire
+        items = good[:5] + [(bad, "sw1", 3)] + good[5:]
+        errors = []
+        collectors = []
+        for batched in (False, True):
+            from repro.obs.intcol import IntCollector
+
+            collector = IntCollector()
+            collectors.append(collector)
+            with pytest.raises(ParseError) as raised:
+                if batched:
+                    collector.ingest_batch(items)
+                else:
+                    for data, node, port in items:
+                        collector.ingest(data, node=node, port=port)
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1] and "overruns" in errors[0]
+        assert collectors[0].records == collectors[1].records
+        assert len(collectors[1].records) == 5
+
+    def test_dropped_collector_is_freed_without_a_gc_pass(self):
+        """No reference cycle: a fabric that swaps in a fresh collector
+        releases the old one's records at once, not at the next full
+        collection (which a batch-ingesting process reaches rarely)."""
+        import gc
+        import weakref
+
+        from repro.obs.intcol import IntCollector
+
+        collector = IntCollector()
+        collector.ingest_batch([(instrumented([1, 2]), "sw1", 3)] * 8)
+        assert collector.summary()["flows"]
+        dead = weakref.ref(collector)
+        gc.disable()
+        try:
+            del collector
+            assert dead() is None
+        finally:
+            gc.enable()
+
+
 class TestIntStrip:
     def test_strip_stage_restores_and_reports(self, controller):
         from repro.obs.intcol import IntCollector

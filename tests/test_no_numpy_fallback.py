@@ -8,9 +8,11 @@ ImportError naming the ``numpy>=1.24`` bound from ``pyproject.toml``.
 
 CI runs this file on a matrix leg with NumPy genuinely uninstalled, so
 nothing here (directly or transitively) may import NumPy at module
-scope: ``repro.workloads.traces`` and ``repro.bench.scenarios`` are
-off-limits; packets come from ``repro.workloads.builders`` and the
-switch from the controller directly.
+scope: ``repro.workloads.traces`` is off-limits (``repro.bench.
+scenarios`` reaches its generators through the NumPy-gated
+``repro.workloads`` package); packets come from
+``repro.workloads.builders`` and the switch from the controller
+directly.
 """
 
 import pytest

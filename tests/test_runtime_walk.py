@@ -262,6 +262,9 @@ class RecordingCollector:
         self.seen.append(data)
         return self.Ingest(data)
 
+    def ingest_batch(self, items):
+        return [self.ingest(*item) for item in items]
+
 
 def test_diamond_order_is_wave_then_index():
     """Results stay index-aligned; the collector sees exits wave by
