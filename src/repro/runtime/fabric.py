@@ -9,23 +9,17 @@ independently runtime-programmable, this is the "autonomous networks"
 setting the paper's introduction sketches: functions can be rolled out
 node by node while traffic keeps flowing.
 
-The fabric runs in one of two modes:
-
-* **Serial** (the default): every hop executes inline in the calling
-  thread.
-* **Sharded** (:meth:`Fabric.shard`): the nodes are partitioned
-  across :class:`~repro.runtime.workers.DeviceWorker` shards, each
-  with its own receive loop over framed byte envelopes.  Traffic
-  batches fan out to the shards concurrently (cross-shard hops come
-  back as handoffs and are re-dispatched), each staged-rollout step
-  is one batch frame per owning shard, and each worker's metric
-  shard snapshots merge losslessly into :attr:`Fabric.metrics` --
-  stats, health rules, and Prometheus export are shard-transparent.
-
-Staged rollouts are mode-free: serial fabrics run the very same
-:class:`~repro.runtime.workers.DeviceWorker` update handlers
-in-process, so a wave stages, commits, gates, and unwinds the same
-way in both modes.
+A fabric is **serial** (the default: one in-process owner holds every
+node, and every hop runs inline in the calling thread) or **sharded**
+(:meth:`Fabric.shard`: the nodes are cut along the wires across
+:class:`~repro.runtime.workers.DeviceWorker` shards, each serving
+framed byte envelopes on its own thread).  Traffic and staged
+rollouts are mode-free: a batch walks in rounds, one walk per owner
+(a hop onto another shard's node comes back as a handoff for the
+next round), and each rollout step runs the same worker handlers as
+one node batch per owner.  Each worker's metric shard snapshots
+merge losslessly into :attr:`Fabric.metrics`, so stats, health
+rules, and Prometheus export are shard-transparent.
 
 Per-hop delivery accounting flows through :attr:`Fabric.metrics` in
 both modes: ``fabric.injected{node}``, ``fabric.hop_forwarded{node,
@@ -44,13 +38,15 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.controller import Controller
-from repro.runtime.walk import InFlight, walk
+from repro.runtime.walk import InFlight, WalkResult, walk
 from repro.runtime.workers import (
     TRAFFIC_CHUNK,
     DeviceWorker,
     UpdatePlanCache,
     WorkerError,
     merge_shard_into,
+    pack_flights,
+    unpack_flights,
 )
 
 
@@ -131,8 +127,8 @@ class Fabric:
         self.workers: List[DeviceWorker] = []
         self._owner: Dict[str, DeviceWorker] = {}
         self.plan_cache: Optional[UpdatePlanCache] = None
-        # Serial mode runs the same update handlers in-process over
-        # every node (see _update); never started, never framed.
+        # A serial fabric's one owner: its traffic walks and update
+        # handlers run in-process (see _worker_of); never framed.
         self._local = DeviceWorker("local", self.nodes, self._wires, max_hops)
         # Edge-side INT collector (see attach_int_collector): None
         # keeps delivery untouched.
@@ -185,6 +181,12 @@ class Fabric:
     ) -> List[DeviceWorker]:
         """Partition the nodes across ``n_workers`` device workers.
 
+        Shards follow the wires: each connected component of the wire
+        graph is cut, in BFS order, into ``min(n_workers, size)``
+        contiguous near-equal blocks, each going to the least-loaded
+        worker (lowest index on a tie) -- unwired nodes are dealt
+        round-robin.
+
         Each worker owns a disjoint set of devices and serves framed
         commands on its own thread; traffic, staged updates, and
         metric snapshots all cross the byte transport.  One
@@ -201,12 +203,13 @@ class Fabric:
             raise FabricError("cannot shard an empty fabric")
         cache = plan_cache if plan_cache is not None else UpdatePlanCache()
         self.plan_cache = cache
-        names = list(self.nodes)
         shards: List[Dict[str, Controller]] = [
-            {} for _ in range(min(n_workers, len(names)))
+            {} for _ in range(min(n_workers, len(self.nodes)))
         ]
-        for index, name in enumerate(names):
-            shards[index % len(shards)][name] = self.nodes[name]
+        for block in self._blocks(len(shards)):
+            target = min(shards, key=len)
+            for name in block:
+                target[name] = self.nodes[name]
         self.workers = [
             DeviceWorker(
                 f"shard{index}",
@@ -226,6 +229,29 @@ class Fabric:
             for worker in self.workers:
                 worker.start()
         return self.workers
+
+    def _blocks(self, n_blocks: int):
+        """Each wire-graph component's BFS order, cut into
+        ``min(n_blocks, size)`` contiguous blocks, larger ones first."""
+        peers: Dict[str, List[str]] = {name: [] for name in self.nodes}
+        for (node, _port), (peer, _peer_port) in self._wires.items():
+            peers[node].append(peer)
+        seen = set()
+        for root in self.nodes:
+            if root in seen:
+                continue
+            seen.add(root)
+            order = [root]
+            for node in order:  # grows while iterated: breadth first
+                for peer in peers[node]:
+                    if peer not in seen:
+                        seen.add(peer)
+                        order.append(peer)
+            cuts = min(n_blocks, len(order))
+            # Bound k is ceil(k * size / cuts): near-equal, larger first.
+            bounds = [-(-k * len(order) // cuts) for k in range(cuts + 1)]
+            for start, end in zip(bounds, bounds[1:]):
+                yield order[start:end]
 
     def unshard(self) -> None:
         """Stop the workers and return to serial mode.
@@ -255,6 +281,9 @@ class Fabric:
         return applied
 
     def _worker_of(self, node: str) -> DeviceWorker:
+        """``node``'s shard; on a serial fabric, the in-process owner."""
+        if not self.workers:
+            return self._local
         worker = self._owner.get(node)
         if worker is None:
             raise FabricError(f"no node named {node!r}")
@@ -412,12 +441,15 @@ class Fabric:
         """Inject ``(node, data, port)`` items, index-aligned.
 
         The start node varies per item, so one batch can cover the
-        whole fleet -- the soak harness's replay path.  The batch moves
-        as a hop-synchronous wavefront (:func:`repro.runtime.walk.walk`):
-        one ``inject_batch`` per node per hop.  Sharded fabrics fan the
-        batch out to the device workers concurrently; hops that cross a
-        shard boundary come back as handoffs and are re-dispatched to
-        their owner until every packet exits or drops.
+        whole fleet -- the soak harness's replay path.  Packets are
+        grouped by owning worker and walked in **rounds**: each owner
+        moves its group as a hop-synchronous wavefront
+        (:func:`repro.runtime.walk.walk`, one ``inject_batch`` per node
+        per hop), and a hop onto a node another worker owns comes back
+        as a handoff for the next round.  A serial fabric's one owner
+        holds every node, so it takes a single round; a sharded one
+        takes one round more than the shard crossings on the longest
+        path.
         """
         items = list(items)
         origins = Counter(node for node, _data, _port in items)
@@ -427,75 +459,63 @@ class Fabric:
             self.metrics.counter("fabric.injected", node=node).inc(count)
         self.stats.injected += len(items)
         results: List[Optional[Delivery]] = [None] * len(items)
-        if self.workers:
-            self._walk_sharded(items, results)
-            return results
-        walked = walk(
-            [InFlight(index, *item) for index, item in enumerate(items)],
-            self.nodes, self._wires, self.max_hops, self.metrics,
-        )
-        self.stats.dropped += len(walked.dropped)
-        self.stats.loops_cut += len(walked.loops)
-        self._deliver([
-            (flight.index, flight.node, flight.port, flight.data,
-             flight.hops, flight.path)
-            for flight in walked.exits
-        ], results)
+        flights = [InFlight(index, *item) for index, item in enumerate(items)]
+        while flights:
+            groups: Dict[DeviceWorker, List[InFlight]] = {}
+            for flight in flights:
+                groups.setdefault(self._worker_of(flight.node), []).append(flight)
+            flights = []
+            for walked in self._walk_round(groups):
+                self.stats.dropped += len(walked.dropped)
+                self.stats.loops_cut += len(walked.loops)
+                self._deliver(walked.exits, results)
+                flights += walked.handoffs
         return results
 
-    def _deliver(self, exits: List[tuple], results) -> None:
-        """Packets leaving at an edge, as ``(index, node, port, data,
-        hops, path)`` in exit order: one collector ingest for all of
-        them, then the :class:`Delivery` each caller slot sees."""
+    def _walk_round(
+        self, groups: Dict[DeviceWorker, List[InFlight]]
+    ) -> List[WalkResult]:
+        """One walk per owning worker.  The in-process worker's list is
+        walked right here, counting into :attr:`metrics`; a shard's is
+        packed into ``worker.inject_batch`` frames of at most
+        ``TRAFFIC_CHUNK`` packets, all posted before any reply is
+        gathered."""
+        local = groups.pop(self._local, None)
+        replies = self._scatter([
+            (worker, "worker.inject_batch",
+             {"items": pack_flights(flights[at:at + TRAFFIC_CHUNK])})
+            for worker, flights in groups.items()
+            for at in range(0, len(flights), TRAFFIC_CHUNK)
+        ])
+        walked = [
+            walk(local, self.nodes, self._wires, self.max_hops, self.metrics)
+        ] if local else []
+        for reply in replies:
+            if isinstance(reply, Exception):
+                raise reply
+            walked.append(WalkResult(
+                unpack_flights(reply["deliveries"]), unpack_flights(reply["handoffs"]),
+                reply["dropped"], reply["loops"],
+            ))
+        return walked
+
+    def _deliver(self, exits: List[InFlight], results) -> None:
+        """Packets leaving at an edge, in exit order: one collector
+        ingest for all of them, then the :class:`Delivery` each caller
+        slot sees."""
         self.stats.delivered += len(exits)
-        datas = [data for _i, _node, _port, data, _hops, _path in exits]
+        datas = [flight.data for flight in exits]
         if self.int_collector is not None:
             ingested = self.int_collector.ingest_batch([
-                (data, node, port) for _i, node, port, data, _h, _p in exits
+                (flight.data, flight.node, flight.port) for flight in exits
             ])
             if self._int_strip:
                 datas = [ingest.stripped for ingest in ingested]
-        for (index, node, port, _data, hops, path), data in zip(exits, datas):
-            results[index] = Delivery(
-                node=node, port=port, data=data, hops=hops, path=tuple(path)
+        for flight, data in zip(exits, datas):
+            results[flight.index] = Delivery(
+                node=flight.node, port=flight.port, data=data,
+                hops=len(flight.path), path=tuple(flight.path),
             )
-
-    def _walk_sharded(
-        self,
-        items: List[Tuple[str, bytes, int]],
-        results: List[Optional[Delivery]],
-    ) -> None:
-        batches: Dict[DeviceWorker, List[dict]] = {}
-        for index, (node, data, port) in enumerate(items):
-            batches.setdefault(self._worker_of(node), []).append(
-                {"i": index, "node": node, "port": port, "data": data.hex()}
-            )
-        while batches:
-            calls = [
-                (
-                    worker,
-                    "worker.inject_batch",
-                    {"items": batch[at:at + TRAFFIC_CHUNK]},
-                )
-                for worker, batch in batches.items()
-                for at in range(0, len(batch), TRAFFIC_CHUNK)
-            ]
-            replies = self._scatter(calls)
-            batches = {}
-            for reply in replies:
-                if isinstance(reply, Exception):
-                    raise reply
-                self.stats.dropped += len(reply["dropped"])
-                self.stats.loops_cut += len(reply["loops"])
-                self._deliver([
-                    (d["i"], d["node"], d["port"], bytes.fromhex(d["data"]),
-                     d["hops"], d["path"])
-                    for d in reply["deliveries"]
-                ], results)
-                for handoff in reply["handoffs"]:
-                    batches.setdefault(
-                        self._worker_of(handoff["node"]), []
-                    ).append(handoff)
 
     # -- fleet-wide updates ----------------------------------------------------
 
@@ -644,9 +664,10 @@ class Fabric:
         ]
         report = RolloutReport(canary=canary, waves=waves)
         committed: List[str] = []
-        probe_items = None
-        if probe_trace is not None:
-            probe_items = [[data.hex(), port] for data, port in probe_trace]
+        probe_items = pack_flights([  # a probe packet names no node
+            InFlight(index, "", data, port)
+            for index, (data, port) in enumerate(probe_trace or ())
+        ])
 
         def evidence_checkpoint(after: str) -> None:
             collector = self.int_collector

@@ -8,10 +8,9 @@ index), each group is one ``switch.inject_batch`` call -- so multi-hop
 traffic rides the columnar fast path -- and survivors are routed
 through ``wires`` into the next wave.
 
-The serial :class:`~repro.runtime.fabric.Fabric` runs it over every
-node; a :class:`~repro.runtime.workers.DeviceWorker` runs the same
-function over its shard, and packets whose next node it does not own
-come back as handoffs.
+A serial :class:`~repro.runtime.fabric.Fabric` walks every node in one
+call; a :class:`~repro.runtime.workers.DeviceWorker` walks its shard,
+and a packet whose next node it does not own comes back as a handoff.
 
 **Ordering contract.**  A device sees the packets of one wave in
 ascending original index.  That equals the order of a per-packet walk
@@ -37,10 +36,11 @@ class InFlight:
 
     ``index`` is the caller's slot for the result; ``node``/``port``
     name the device and ingress port it enters next -- or, once it has
-    left the fabric, the device and egress port it left by.
+    left the fabric, the device and egress port it left by.  ``path``
+    lists the devices it has traversed, so its length is the hop count.
     """
 
-    __slots__ = ("index", "node", "port", "data", "hops", "path")
+    __slots__ = ("index", "node", "port", "data", "path")
 
     def __init__(
         self,
@@ -48,14 +48,12 @@ class InFlight:
         node: str,
         data: bytes,
         port: int,
-        hops: int = 0,
         path: Optional[List[str]] = None,
     ) -> None:
         self.index = index
         self.node = node
         self.port = port
         self.data = data
-        self.hops = hops
         self.path = [] if path is None else path
 
 
@@ -96,11 +94,11 @@ def walk(
             if controller is None:
                 result.handoffs.extend(group)
                 continue
-            cut = [f.index for f in group if f.hops >= max_hops]
+            cut = [f.index for f in group if len(f.path) >= max_hops]
             if cut:
                 result.loops.extend(cut)
                 metrics.counter("fabric.loops_cut", node=node).inc(len(cut))
-                group = [f for f in group if f.hops < max_hops]
+                group = [f for f in group if len(f.path) < max_hops]
                 if not group:
                     continue
             outputs = controller.switch.inject_batch(
@@ -108,7 +106,6 @@ def walk(
             )
             by_port: Dict[int, List[InFlight]] = {}
             for flight, out in zip(group, outputs):
-                flight.hops += 1
                 flight.path.append(node)
                 if out is None:
                     result.dropped.append(flight.index)

@@ -9,19 +9,23 @@ through the shard's devices, the node-batch commands
 (``worker.stage_batch`` / ``worker.commit_batch`` /
 ``worker.abort_batch`` / ``worker.rollback_batch`` /
 ``worker.probe_batch``) drive the transactional update engine over a
-list of owned nodes, and ``worker.metrics`` ships a :class:`metric shard
-<MetricShardAccumulator>` snapshot -- per-device counter *deltas* and
-histogram bucket deltas that merge losslessly into the fabric's
-central registry, so fleet-wide stats, health rules, and Prometheus
-export look exactly the same whether the fleet is sharded or not.
+list of owned nodes, and ``worker.metrics`` ships a metric shard
+snapshot -- per-device counter *deltas* and histogram bucket deltas
+that merge losslessly into the fabric's central registry, so
+fleet-wide stats, health rules, and Prometheus export look exactly the
+same whether the fleet is sharded or not.  Traffic crosses as one
+column set per frame (:func:`pack_flights`): a JSON list per packet
+field plus all the packet bytes as one base64 blob -- for
+``worker.inject_batch`` items, deliveries and handoffs alike, and for
+``worker.probe_batch`` items.
 
 Workers run their receive loop on a daemon thread
 (:meth:`DeviceWorker.start`) with ``queue.Queue``-backed transports;
 the same byte protocol runs unchanged over ``multiprocessing`` queues
 for a true remote shard.  A worker can also be driven synchronously
-(:meth:`DeviceWorker.serve_once`) for deterministic tests, and a
-serial fabric calls the node-batch handlers in-process
-(:meth:`DeviceWorker.run_nodes`) with no frame at all.
+(:meth:`DeviceWorker.serve_once`) for deterministic tests.  A serial
+fabric frames nothing: it walks its traffic in-process and calls the
+node-batch handlers (:meth:`DeviceWorker.run_nodes`) directly.
 
 :class:`UpdatePlanCache` is the fleet-rollout fast path: every node
 in a wave runs the same base design, so the snippet compile, the lint
@@ -35,11 +39,12 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+from base64 import b64decode, b64encode
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.obs.metrics import MetricsRegistry, Sample
-from repro.runtime.channel import ChannelError, ControlChannel, QueueTransport
+from repro.obs.metrics import MetricsRegistry
+from repro.runtime.channel import ChannelError, ControlChannel, FrameError, QueueTransport
 from repro.runtime.walk import InFlight, walk
 
 #: Traffic items per ``worker.inject_batch`` frame: bounds frame size
@@ -156,45 +161,6 @@ def _sample_key(name: str, labels: Dict[str, str]) -> Tuple:
     return (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
 
 
-class MetricShardAccumulator:
-    """The central half of shard-transparent metrics.
-
-    Workers ship per-kind sample *deltas* (counters -- including the
-    ``_bucket``/``_count``/``_sum`` series every histogram exports, so
-    bucket merges are exact) and gauge values.  ``apply`` folds a
-    shard snapshot in; ``samples`` replays the merged state into the
-    registry's collect pass, preserving each sample's kind so the
-    Prometheus exposition and ``histogram_snapshot`` reconstruction
-    behave exactly as if one process owned every device.
-    """
-
-    def __init__(self) -> None:
-        self._values: Dict[Tuple, float] = {}
-        self._labels: Dict[Tuple, Dict[str, str]] = {}
-        self._kinds: Dict[Tuple, str] = {}
-        self.shards_applied = 0
-
-    def apply(self, shard: dict) -> None:
-        for name, labels, kind, value in shard.get("samples", []):
-            key = _sample_key(name, labels)
-            if kind in _ACCUMULATED:
-                self._values[key] = self._values.get(key, 0) + value
-            else:
-                self._values[key] = value
-            self._labels[key] = dict(labels)
-            self._kinds[key] = kind
-        self.shards_applied += 1
-
-    def samples(self) -> Iterable[Sample]:
-        for key, value in self._values.items():
-            yield Sample(
-                key[0], value, dict(self._labels[key]), self._kinds[key]
-            )
-
-    def value(self, name: str, default: float = 0, **labels) -> float:
-        return self._values.get(_sample_key(name, labels), default)
-
-
 def merge_shard_into(registry: MetricsRegistry, shard: dict) -> int:
     """Fold one worker shard snapshot into a central registry.
 
@@ -251,17 +217,43 @@ class ShardSnapshotter:
 # -- the worker -------------------------------------------------------------
 
 
-def _wire_item(flight: InFlight) -> dict:
-    """An in-flight packet as the JSON-safe traffic item the channel
-    carries (deliveries, handoffs)."""
+#: The traffic frame's per-packet columns; the bytes ride beside them.
+_COLUMNS = ("i", "node", "port", "path", "len")
+
+
+def pack_flights(flights: List[InFlight]) -> dict:
+    """In-flight packets as the traffic frame the channel carries: one
+    JSON list per column, plus every packet's bytes concatenated into a
+    single base64 ``data`` blob that the ``len`` column splits again."""
     return {
-        "i": flight.index,
-        "node": flight.node,
-        "port": flight.port,
-        "data": flight.data.hex(),
-        "hops": flight.hops,
-        "path": flight.path,
+        "i": [f.index for f in flights],
+        "node": [f.node for f in flights],
+        "port": [f.port for f in flights],
+        "path": [f.path for f in flights],
+        "len": [len(f.data) for f in flights],
+        "data": b64encode(b"".join(f.data for f in flights)).decode("ascii"),
     }
+
+
+def unpack_flights(frame: dict) -> List[InFlight]:
+    """The packets of one traffic frame.  Missing or ragged columns,
+    lengths that do not add up to the blob, and a blob that is not
+    base64 raise :class:`FrameError`."""
+    try:
+        columns = [frame[key] for key in _COLUMNS]
+        blob = b64decode(frame["data"], validate=True)
+        if len(set(map(len, columns))) != 1:
+            raise FrameError(f"ragged traffic columns: {list(map(len, columns))}")
+        if sum(frame["len"]) != len(blob):
+            raise FrameError(f"traffic lengths != {len(blob)}-byte blob")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FrameError(f"malformed traffic frame: {exc}") from None
+    flights: List[InFlight] = []
+    end = 0
+    for index, node, port, path, size in zip(*columns):
+        start, end = end, end + size
+        flights.append(InFlight(index, node, blob[start:end], port, path))
+    return flights
 
 
 def _error_detail(exc: Exception) -> dict:
@@ -456,19 +448,11 @@ class DeviceWorker:
     # hop landing on a foreign node comes back as a handoff for the owner.
 
     def _cmd_inject_batch(self, payload: dict) -> dict:
-        walked = walk(
-            [
-                InFlight(
-                    item["i"], item["node"], bytes.fromhex(item["data"]),
-                    item["port"], item.get("hops", 0), item.get("path", []),
-                )
-                for item in payload["items"]
-            ],
-            self.devices, self.wires, self.max_hops, self.metrics,
-        )
+        flights = unpack_flights(payload["items"])
+        walked = walk(flights, self.devices, self.wires, self.max_hops, self.metrics)
         return {
-            "deliveries": [_wire_item(flight) for flight in walked.exits],
-            "handoffs": [_wire_item(flight) for flight in walked.handoffs],
+            "deliveries": pack_flights(walked.exits),
+            "handoffs": pack_flights(walked.handoffs),
             "dropped": walked.dropped,
             "loops": walked.loops,
         }
@@ -533,9 +517,7 @@ class DeviceWorker:
         gates use this so probe traffic runs on the device's owning
         thread, serialized with in-flight traffic; as
         ``worker.probe_batch`` a whole wave's shard costs one frame."""
-        trace = [
-            (bytes.fromhex(data), port) for data, port in payload["items"]
-        ]
+        trace = [(f.data, f.port) for f in unpack_flights(payload["items"])]
         result = self._device(node).switch.inject_batch(trace)
         return {
             "total": len(result),

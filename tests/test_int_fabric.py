@@ -139,7 +139,7 @@ class TestRolloutEvidence:
         assert collector.summary()["epoch_mismatch_packets"] == len(evidence)
 
 
-@pytest.mark.parametrize("shards", [None, 2])
+@pytest.mark.parametrize("shards", [None, 2, 4])
 class TestIntBursts:
     """A burst of watched packets: every hop of the line is one INT
     batch (columnar when NumPy is present), and the edge ingests each

@@ -22,6 +22,7 @@ from repro.runtime.fabric import (
 from repro.runtime.workers import WorkerError
 from repro.tables.table import TableEntry
 from repro.workloads import ipv4_packet, srv6_packet
+from tests.test_runtime_walk import flows, line_fabric
 
 
 def base_node():
@@ -95,6 +96,59 @@ class TestTopology:
     def test_max_hops_validation(self):
         with pytest.raises(ValueError):
             Fabric(max_hops=0)
+
+
+def placement(fabric, n_workers):
+    """``fabric.shard(n_workers)``'s partition, worker by worker."""
+    return [set(w.devices) for w in fabric.shard(n_workers, start=False)]
+
+
+def isolated_fabric(names):
+    fabric = Fabric()
+    for name in names:
+        fabric.add_node(name, Controller())
+    return fabric
+
+
+class TestPlacement:
+    """Shards follow the wires: each wire-graph component is cut in BFS
+    order into contiguous near-equal blocks, each block to the
+    least-loaded worker."""
+
+    def test_line_on_two_shards_is_cut_in_half(self):
+        assert placement(line_fabric(), 2) == [
+            {"sw0", "sw1"}, {"sw2", "sw3"},
+        ]
+
+    def test_line_on_four_shards_is_one_node_each(self):
+        assert placement(line_fabric(), 4) == [
+            {"sw0"}, {"sw1"}, {"sw2"}, {"sw3"},
+        ]
+
+    def test_isolated_nodes_are_dealt_round_robin(self):
+        fabric = isolated_fabric([f"n{i}" for i in range(5)])
+        assert placement(fabric, 2) == [{"n0", "n2", "n4"}, {"n1", "n3"}]
+
+    def test_line_plus_isolated_node_on_three_shards(self):
+        fabric = line_fabric()
+        fabric.add_node("n4", Controller())
+        assert placement(fabric, 3) == [
+            {"sw0", "sw1"}, {"sw2", "n4"}, {"sw3"},
+        ]
+
+    def test_burst_costs_one_round_per_shard_crossing_plus_one(self):
+        fabric = line_fabric()
+        fabric.shard(2, start=False)
+        deliveries = fabric.send_many("sw0", flows(64))
+        assert all(d is not None and d.hops == 4 for d in deliveries)
+        workers = fabric.workers
+        assert sum(
+            w.metrics.counter("worker.commands").value for w in workers
+        ) == 2
+        assert sum(
+            w.requests.stats.messages + w.replies.stats.messages
+            for w in workers
+        ) == 4
 
 
 class TestForwarding:

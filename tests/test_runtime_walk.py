@@ -13,6 +13,7 @@ from collections import Counter
 
 import pytest
 
+from repro.dp.columnar import _numpy
 from repro.net.addresses import parse_mac
 from repro.programs import base_rp4_source, populate_base_tables
 from repro.programs.base_l2l3 import ROUTER_MAC
@@ -193,7 +194,11 @@ def from_node(node, trace):
     return [(node, data, port) for data, port in trace]
 
 
-MODES = pytest.mark.parametrize("shards", [0, 2], ids=["serial", "sharded"])
+#: Two shards cut the line in half (one handoff per packet); four put
+#: one node on each shard, so every hop is a handoff.
+MODES = pytest.mark.parametrize(
+    "shards", [0, 2, 4], ids=["serial", "sharded", "sharded4"]
+)
 
 
 @MODES
@@ -206,12 +211,15 @@ class TestWavefrontEqualsPerPacketWalk:
         assert all(d.path == LINE and d.port == 3 for d in got)
 
     def test_full_waves_take_the_columnar_path(self, shards):
+        # Without NumPy the front door falls back to the scalar loop
+        # and compiles no columnar program.
         fabric = line_fabric()
         if shards:
             fabric.shard(shards, start=False)
         fabric.send_many("sw0", flows(64))
         assert all(
-            controller.switch.dp._columnar is not None
+            (controller.switch.dp._columnar is not None)
+            == (_numpy() is not None)
             for controller in fabric.nodes.values()
         )
 

@@ -9,13 +9,16 @@ from repro.programs import (
     srv6_rp4_source,
 )
 from repro.runtime import Controller
+from repro.runtime.channel import FrameError
 from repro.runtime.fabric import Fabric
+from repro.runtime.walk import InFlight
 from repro.runtime.workers import (
-    MetricShardAccumulator,
     ShardSnapshotter,
     UpdatePlanCache,
     WorkerError,
     merge_shard_into,
+    pack_flights,
+    unpack_flights,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads import ipv4_packet
@@ -30,6 +33,12 @@ def base_node():
     controller.load_base(base_rp4_source())
     populate_base_tables(controller.switch.tables)
     return controller
+
+
+def probe_items(n=1):
+    """``n`` copies of PACKET on port 0, as a probe batch's traffic
+    frame (a probe packet names no node)."""
+    return pack_flights([InFlight(i, "", PACKET, 0) for i in range(n)])
 
 
 def sharded_fleet(n_nodes=6, n_workers=2, start=False):
@@ -48,11 +57,12 @@ class TestFramedCommands:
         worker = fabric.workers[0]
         reply = worker.request(
             "worker.inject_batch",
-            {"items": [{"i": 0, "node": "n0", "port": 0,
-                        "data": PACKET.hex()}]},
+            {"items": pack_flights([InFlight(0, "n0", PACKET, 0)])},
         )
-        assert len(reply["deliveries"]) == 1
-        assert reply["deliveries"][0]["node"] == "n0"
+        [delivery] = unpack_flights(reply["deliveries"])
+        assert (delivery.index, delivery.node) == (0, "n0")
+        assert delivery.path == ["n0"]
+        assert unpack_flights(reply["handoffs"]) == []
         assert reply["dropped"] == [] and reply["loops"] == []
 
     def test_stage_commit_rollback_round_trip(self):
@@ -106,7 +116,7 @@ class TestFramedCommands:
         with pytest.raises(WorkerError):
             worker.request("worker.rollback_batch", {})  # no "nodes"
         [entry] = worker.request("worker.probe_batch", {
-            "nodes": ["n0"], "items": [[PACKET.hex(), 0]],
+            "nodes": ["n0"], "items": probe_items(),
         })["results"]
         assert entry["dropped"] == 0
 
@@ -114,15 +124,70 @@ class TestFramedCommands:
         fabric = sharded_fleet(2, 1)
         worker = fabric.workers[0]
         worker.post_request("worker.probe_batch", {
-            "nodes": ["n0"], "items": [[PACKET.hex(), 0]],
+            "nodes": ["n0"], "items": probe_items(),
         })
         worker.post_request("worker.probe_batch", {
-            "nodes": ["n1"], "items": [[PACKET.hex(), 0], [PACKET.hex(), 0]],
+            "nodes": ["n1"], "items": probe_items(2),
         })
         [first] = worker.collect_reply("worker.probe_batch")["results"]
         [second] = worker.collect_reply("worker.probe_batch")["results"]
         assert (first["node"], first["total"]) == ("n0", 1)
         assert (second["node"], second["total"]) == ("n1", 2)
+
+
+def ragged(frame):
+    frame["port"].pop()
+
+
+def short_blob(frame):
+    frame["len"][0] += 1
+
+
+def not_base64(frame):
+    frame["data"] = "*" + frame["data"][1:]
+
+
+class TestTrafficFrames:
+    def test_round_trip(self):
+        flights = [
+            InFlight(7, "n1", PACKET, 2, ["n0"]),
+            InFlight(3, "n0", b"", 0),
+            InFlight(9, "n1", PACKET[:20], 1, ["n0", "n2"]),
+        ]
+        frame = pack_flights(flights)
+        assert frame["len"] == [len(PACKET), 0, 20]
+        assert isinstance(frame["data"], str)  # one blob for all packets
+        back = unpack_flights(frame)
+        assert [
+            (f.index, f.node, f.data, f.port, f.path) for f in back
+        ] == [(f.index, f.node, f.data, f.port, f.path) for f in flights]
+
+    @pytest.mark.parametrize("damage", [ragged, short_blob, not_base64])
+    def test_malformed_frame_is_frame_error(self, damage):
+        frame = pack_flights([InFlight(i, "n0", PACKET, 0) for i in range(2)])
+        damage(frame)
+        with pytest.raises(FrameError):
+            unpack_flights(frame)
+
+    @pytest.mark.parametrize("damage", [ragged, short_blob, not_base64])
+    def test_worker_rejects_malformed_frame_and_keeps_serving(self, damage):
+        fabric = sharded_fleet(2, 1)
+        worker = fabric.workers[0]
+        frame = pack_flights([InFlight(0, "n0", PACKET, 0)])
+        damage(frame)
+        with pytest.raises(WorkerError, match="FrameError"):
+            worker.request("worker.inject_batch", {"items": frame})
+        assert worker.metrics.counter("worker.command_errors").value == 1
+        # A probe batch reports it as the node's error entry instead.
+        [entry] = worker.request(
+            "worker.probe_batch", {"nodes": ["n0"], "items": frame}
+        )["results"]
+        assert entry["error"]["type"] == "FrameError"
+        reply = worker.request(
+            "worker.inject_batch",
+            {"items": pack_flights([InFlight(0, "n0", PACKET, 0)])},
+        )
+        assert len(unpack_flights(reply["deliveries"])) == 1
 
 
 class TestBatchCommands:
@@ -191,7 +256,7 @@ class TestBatchCommands:
         fabric = sharded_fleet(3, 1)
         reply = fabric.workers[0].request(
             "worker.probe_batch",
-            {"nodes": ["n0", "n1", "n2"], "items": [[PACKET.hex(), 0]]},
+            {"nodes": ["n0", "n1", "n2"], "items": probe_items()},
         )
         assert [entry["node"] for entry in reply["results"]] == [
             "n0", "n1", "n2",
@@ -233,14 +298,6 @@ class TestMetricShards:
             registry, {"samples": [["depth", {}, "gauge", 2]]}
         )
         assert registry.value("depth") == 2
-
-    def test_accumulator_value_lookup(self):
-        accumulator = MetricShardAccumulator()
-        accumulator.apply(
-            {"samples": [["pkts", {"node": "n1"}, "counter", 7]]}
-        )
-        assert accumulator.value("pkts", node="n1") == 7
-        assert accumulator.shards_applied == 1
 
     def test_histogram_buckets_merge_exactly(self):
         # Histograms cross the shard boundary as their _bucket/_count/
