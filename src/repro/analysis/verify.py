@@ -55,6 +55,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.analysis.diag import Diagnostic, Severity, Span, make
 from repro.compiler.dependency import PRIMITIVE_EFFECTS, STAR
 from repro.lang.expr import EBin, ECall, EConst, ERef, EUnary, EValid
+from repro.net.headers import srh_capacity
 from repro.net.packet import INTRINSIC_METADATA
 from repro.tables import actions as vm
 
@@ -791,28 +792,34 @@ def _exec_primitive(ps: PathState, side: SideState, name: str,
         if "srh" not in side.valid or "ipv6" not in side.valid:
             side.cur["meta.drop"] = _const(1)
             return keep
+        n_segs = srh_capacity(side.view.header_types["srh"])
         left = _read(ps, side, "srh.segments_left")
         if _is_const(left):
-            if _cval(left) == 0:
-                side.cur["meta.drop"] = _const(1)
-            else:
+            if 1 <= _cval(left) <= n_segs:
                 side.cur["srh.segments_left"] = _const(_cval(left) - 1)
                 side.cur["ipv6.dst_addr"] = ("d", "srv6_segment", site, left)
+            else:
+                side.cur["meta.drop"] = _const(1)
             return keep
         if left[0] == "in":
             forks = []
             ps_fwd, side_fwd = ps.clone(), side.clone()
-            if _constrain(ps_fwd, side_fwd.view, left[1], ">=", 1):
+            if _constrain(ps_fwd, side_fwd.view, left[1], ">=", 1) and (
+                _constrain(ps_fwd, side_fwd.view, left[1], "<=", n_segs)
+            ):
                 side_fwd.cur["srh.segments_left"] = ("d", "srv6_dec", left)
                 side_fwd.cur["ipv6.dst_addr"] = ("d", "srv6_segment", site, left)
                 forks.append((ps_fwd, side_fwd))
-            if _constrain(ps, side.view, left[1], "==", 0):
-                side.cur["meta.drop"] = _const(1)
-                forks.append((ps, side))
+            # Exhausted, or past the list (RFC 8754 Sec. 4.3.1.1): drop.
+            for op, bound in (("==", 0), (">", n_segs)):
+                ps_drop, side_drop = ps.clone(), side.clone()
+                if _constrain(ps_drop, side.view, left[1], op, bound):
+                    side_drop.cur["meta.drop"] = _const(1)
+                    forks.append((ps_drop, side_drop))
             return forks
         old_drop = _read(ps, side, "meta.drop")
         side.cur["srh.segments_left"] = ("d", "srv6_dec", left)
-        side.cur["meta.drop"] = ("d", "srv6_exhausted", left, old_drop)
+        side.cur["meta.drop"] = ("d", "srv6_exhausted", left, n_segs, old_drop)
         side.cur["ipv6.dst_addr"] = ("d", "srv6_segment", site, left)
         return keep
     if name == "pop_srh":

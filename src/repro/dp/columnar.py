@@ -17,14 +17,22 @@ evaluations, and table probes thousands of times.  This module runs
    drop/divergence, scatter dirty fields back into the byte matrix,
    and emit survivors.
 
+A table-firing site (IPSA arm, PISA apply step) compiles its action
+kernels lazily, on the first batch whose table entries or default
+name them, so it holds only the actions it can really run.  Each
+primitive has one vector meaning in :data:`_KERNELS` -- SRv6 End
+gathers the next segment out of the SRH's fixed ``seg0..segN``
+columns and drops rows whose ``segments_left`` is 0 or past the list.
+
 A varbit header whose length is one fixed count field times a unit
 (the INT hop stack, the SRH segment list) is fixed-width *per
 signature*: classification splits its rows by the count, which joins
 the signature key.  Anything the kernels cannot express -- other
 variable-length headers, externs, ternary/range engines, arithmetic
-that could overflow 64 bits -- *peels*: those rows fall back to the
-scalar per-packet loop, at their original batch positions, so a mixed
-batch is byte-for-byte identical to N ``inject`` calls.
+that could overflow 64 bits, an entry whose action has no kernel --
+*peels*: those rows fall back to the scalar per-packet loop, at their
+original batch positions, so a mixed batch is byte-for-byte identical
+to N ``inject`` calls.
 
 Cache coherence rides on the scalar plan cache: the compiled columnar
 program is keyed on the scalar plan **object** (see
@@ -39,7 +47,7 @@ the front door silently keeps the scalar loop.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 try:  # pragma: no cover - exercised via REPRO_FORCE_NO_NUMPY in CI
     import numpy as _np
@@ -48,7 +56,12 @@ except ImportError:  # pragma: no cover
 
 from repro.lang import expr as lang
 from repro.net.fields import mask_to_width
-from repro.net.headers import INT_ETHERTYPE, INT_HOP_BYTES, INT_HOP_FIELDS
+from repro.net.headers import (
+    INT_ETHERTYPE,
+    INT_HOP_BYTES,
+    INT_HOP_FIELDS,
+    srh_capacity,
+)
 from repro.obs.trace import DropReason
 from repro.tables import actions as act
 
@@ -58,9 +71,6 @@ NUMPY_HINT = (
     "automatically falls back to the scalar per-packet loop. Install "
     "numpy to enable the vectorized fast path."
 )
-
-#: Primitive names with a vector kernel; everything else peels.
-_VECTOR_PRIMS = ("drop", "mark_to_cpu", "no_op", "decrement_ttl", "push_int")
 
 _MISSING = object()
 _NEVER = object()  # arm predicate that is constant-false for the signature
@@ -460,31 +470,35 @@ class _ParseSim:
 
 
 class _Ctx:
-    """What one signature's kernels compile against.  ``chain`` and
-    ``device`` are set for IPSA only (``push_int`` needs the layout);
-    ``push_at`` is the splice offset once a ``push_int`` compiled."""
+    """What one signature's kernels compile against.  ``device`` is set
+    for IPSA only (``push_int`` needs it).  ``step`` counts stages in
+    program order; ``push_at`` is the splice offset once a ``push_int``
+    compiled, at stage ``push_step``; ``shim_read`` is the last stage
+    that reads what a push rewrites."""
 
     __slots__ = ("np", "validity", "template", "recipes", "chain", "device",
-                 "push_at")
+                 "step", "push_at", "push_step", "shim_read")
 
-    def __init__(self, np, validity, template, recipes, chain=None,
-                 device=None):
+    def __init__(self, np, validity, template, recipes, chain, device=None):
         self.np = np
         self.validity = validity
         self.template = template
         self.recipes = recipes
         self.chain = chain
         self.device = device
-        self.push_at = None
+        self.step = self.shim_read = 0
+        self.push_at = self.push_step = None
 
 
 def _check_unshifted(ref: str, ctx: _Ctx) -> None:
-    """After a ``push_int``, a read of the shim or of the EtherType it
-    rewrote would see the pre-push matrix: such signatures peel."""
-    if ctx.push_at is not None and (
-        ref.startswith("int_shim.") or ref == "ethernet.ethertype"
-    ):
-        raise _Ineligible(ref)
+    """A read of the shim, or of the EtherType ``push_int`` rewrote, at
+    or after the push's stage would see the pre-push matrix: such
+    signatures peel.  Earlier reads are noted, so that a push compiled
+    later (kernels resolve lazily) refuses to land ahead of them."""
+    if ref.startswith("int_shim.") or ref == "ethernet.ethertype":
+        if ctx.push_at is not None and ctx.step >= ctx.push_step:
+            raise _Ineligible(ref)
+        ctx.shim_read = max(ctx.shim_read, ctx.step)
 
 
 def _sel(col, rows):
@@ -773,9 +787,9 @@ def _compile_action(adef, ctx: _Ctx):
     """ActionDef -> kernel(pc, rows, bound) running every op masked.
 
     Eligible ops: :class:`SetField` (except to ``meta.mcast_grp``,
-    which would route into the TM's multicast path) and the
-    side-effect-free primitives in :data:`_VECTOR_PRIMS`.  Everything
-    else (header push/pop, externs, counters, policers) peels.
+    which would route into the TM's multicast path) and the primitives
+    with a kernel in :data:`_KERNELS`.  Everything else (SRH and INT
+    pop, externs, counters, policers) peels.
     """
     np = ctx.np
     params = dict(adef.params)
@@ -829,48 +843,88 @@ def _compile_action(adef, ctx: _Ctx):
 
 
 def _compile_primitive(name: str, ctx: _Ctx, params: Dict[str, int]):
+    """The vector kernel of one primitive call (``None``: a no-op)."""
+    build = _KERNELS.get(name)
+    if build is None:
+        raise _Ineligible(name)
+    return build(ctx, params)
+
+
+def _flag_kernel(field: str):
+    """Kernel factory: set ``meta.<field>`` on every firing row."""
+
+    def build(ctx: _Ctx, params):
+        one = ctx.np.uint64(1)
+
+        def flag_kernel(pc, rows, bound):
+            pc.set_meta(field, one, rows)
+
+        return flag_kernel
+
+    return build
+
+
+def _compile_decrement_ttl(ctx: _Ctx, params):
+    # Validity is a signature constant, so the ipv4/ipv6 branch of
+    # prim_decrement_ttl resolves at compile time.
     np = ctx.np
-    if name == "no_op":
+    if "ipv4" in ctx.validity:
+        ref = "ipv4.ttl"
+    elif "ipv6" in ctx.validity:
+        ref = "ipv6.hop_limit"
+    else:
         return None
-    if name == "drop":
+    if ctx.recipes.get(ref) is None:
+        raise _Ineligible(ref)
 
-        def drop_kernel(pc, rows, bound):
-            pc.set_meta("drop", np.uint64(1), rows)
+    def ttl_kernel(pc, rows, bound):
+        values = pc.get(ref)[rows]
+        expired = values <= 1
+        pc.set_field(
+            ref, np.where(expired, np.uint64(0), values - np.uint64(1)), rows
+        )
+        if expired.any():
+            pc.set_meta("drop", np.uint64(1), rows[expired])
 
-        return drop_kernel
-    if name == "mark_to_cpu":
+    return ttl_kernel
 
-        def cpu_kernel(pc, rows, bound):
-            pc.set_meta("to_cpu", np.uint64(1), rows)
 
-        return cpu_kernel
-    if name == "decrement_ttl":
-        # Validity is a signature constant, so the ipv4/ipv6 branch of
-        # prim_decrement_ttl resolves at compile time.
-        if "ipv4" in ctx.validity:
-            ref = "ipv4.ttl"
-        elif "ipv6" in ctx.validity:
-            ref = "ipv6.hop_limit"
-        else:
-            return None
-        if ctx.recipes.get(ref) is None:
-            raise _Ineligible(ref)
+def _compile_srv6_end(ctx: _Ctx, params):
+    """:func:`repro.tables.primitives.prim_srv6_end` on the fixed
+    ``seg0..segN`` SRH layout: rows whose ``segments_left`` is 0 or
+    past the list drop; the rest decrement it and take ``ipv6.dst_addr``
+    from that segment's ``(hi, lo)`` columns.  The varbit
+    ``segment_list`` layout peels."""
+    np = ctx.np
+    if not {"srh", "ipv6"} <= ctx.validity:
+        return _KERNELS["drop"](ctx, params)  # as prim_srv6_end does
+    srh = next(c[1] for c in ctx.chain if c[0] == "srh")
+    segs = [f"srh.seg{k}" for k in range(srh_capacity(srh))]
+    recipes = ctx.recipes
+    if srh.varlen_field == "segment_list" or any(
+        (recipes.get(ref) or (0, 0, 0))[2] != 128
+        for ref in segs + ["ipv6.dst_addr"]
+    ) or recipes.get("srh.segments_left") is None:
+        raise _Ineligible("srv6_end")
 
-        def ttl_kernel(pc, rows, bound, _ref=ref):
-            values = pc.get(_ref)[rows]
-            expired = values <= 1
-            pc.set_field(
-                _ref,
-                np.where(expired, np.uint64(0), values - np.uint64(1)),
-                rows,
-            )
-            if expired.any():
-                pc.set_meta("drop", np.uint64(1), rows[expired])
+    def srv6_end_kernel(pc, rows, bound):
+        left = pc.get("srh.segments_left")[rows]
+        live = (left >= 1) & (left <= len(segs))
+        if not live.all():
+            pc.set_meta("drop", np.uint64(1), rows[~live])
+            rows, left = rows[live], left[live]
+            if rows.size == 0:
+                return
+        index = left - np.uint64(1)
+        pc.set_field("srh.segments_left", index, rows)
+        pick = index.astype(np.intp)
+        pairs = [pc.get(ref) for ref in segs]
+        pc.set_field("ipv6.dst_addr", (
+            np.choose(pick, [hi[rows] for hi, _lo in pairs]),
+            np.choose(pick, [lo[rows] for _hi, lo in pairs]),
+        ), rows)
 
-        return ttl_kernel
-    if name == "push_int":
-        return _compile_push_int(ctx, params)
-    raise _Ineligible(name)
+    return srv6_end_kernel
 
 
 #: The ``int_shim`` fixed part ``push_int`` writes (the rP4 INT programs
@@ -896,8 +950,10 @@ def _compile_push_int(ctx: _Ctx, params: Dict[str, int]):
     """
     np = ctx.np
     device = ctx.device
-    if ctx.chain is None or ctx.push_at is not None:
+    if ctx.device is None or ctx.push_at is not None:
         raise _Ineligible("push_int")  # PISA, or a second push
+    if ctx.shim_read > ctx.step:
+        raise _Ineligible("push_int")  # a later stage reads the shim
     width = params.get("switch_id")
     if width is not None and width > 64:
         raise _Ineligible("switch_id")
@@ -920,6 +976,7 @@ def _compile_push_int(ctx: _Ctx, params: Dict[str, int]):
         ctx.push_at = off + htype._fixed_bytes + vbytes
     else:
         raise _Ineligible("int_shim")  # on the wire but not parsed yet
+    ctx.push_step = ctx.step
     one = np.uint64(1)
 
     def be_bytes(values, width):
@@ -961,6 +1018,22 @@ def _compile_push_int(ctx: _Ctx, params: Dict[str, int]):
         pc.pushes.append((rows, np.concatenate(parts, axis=1)))
 
     return push_kernel
+
+
+#: Primitive name -> kernel factory ``(ctx, params) -> kernel`` (``None``:
+#: a no-op).  A primitive missing here peels.
+_KERNELS = {
+    "no_op": lambda ctx, params: None,
+    "srv6_transit": lambda ctx, params: None,
+    "drop": _flag_kernel("drop"),
+    "mark_to_cpu": _flag_kernel("to_cpu"),
+    "decrement_ttl": _compile_decrement_ttl,
+    "push_int": _compile_push_int,
+    "srv6_end": _compile_srv6_end,
+}
+_VECTOR_PRIMS = tuple(_KERNELS)
+if _compile_action.__doc__:  # None under python -OO
+    _compile_action.__doc__ += f"Kernels: {', '.join(_VECTOR_PRIMS)}.\n"
 
 
 def _param_columns(np, adef, datas):
@@ -1032,17 +1105,45 @@ def _make_key_getter(ref: str, nbytes: int, ctx: _Ctx):
 # --------------------------------------------------------------------------
 
 
-class _ArmExec:
-    __slots__ = (
-        "pred", "empty", "table", "key_getters", "tag_kernels",
-        "default_kernel", "dispatch",
-    )
+class _Exec:
+    """One table-firing site: an IPSA arm or a PISA apply step.  Its
+    action kernels compile lazily, on the first dispatch that names
+    them, against the header validity and stage ``step`` the site saw
+    at compile time -- so a site holds only the actions its table's
+    entries and default can run."""
+
+    __slots__ = ("table", "key_getters", "dispatch", "kernels", "validity",
+                 "step")
 
     def resolve(self, entry, ctx):
-        """The (adef, kernel) pair ``entry`` (``None``: a miss) runs."""
-        if entry is None:
-            return self.default_kernel
-        return self.tag_kernels.get(entry.tag, self.default_kernel)
+        """The (adef, kernel) pair ``entry`` (``None``: a miss) runs;
+        ``None`` when that action is unknown (the scalar loop raises
+        ``KeyError``) or has no vector kernel."""
+        name, adef = self.action(entry, ctx)
+        pair = self.kernels.get(name, _MISSING)
+        if pair is _MISSING:
+            pair = None
+            if adef is not None:
+                ctx.validity, ctx.step = self.validity, self.step
+                try:
+                    pair = (adef, _compile_action(adef, ctx))
+                except _Ineligible:
+                    pass
+            self.kernels[name] = pair
+        return pair
+
+
+class _ArmExec(_Exec):
+    __slots__ = ("pred", "empty", "tag_actions", "default_pair")
+
+    def action(self, entry, ctx):
+        """The executor's ``(name, adef)`` for the entry's tag (a miss
+        looks up tag 0), falling back to the default, as
+        :func:`repro.dp.exec.run_tsp_plan` does."""
+        name, adef = self.tag_actions.get(
+            0 if entry is None else entry.tag, self.default_pair
+        )
+        return name, ctx.device.actions.get(name) if adef is None else adef
 
 
 class _StageExec:
@@ -1053,28 +1154,12 @@ class _TspExec:
     __slots__ = ("stats", "stages")
 
 
-class _ApplyExec:
-    __slots__ = (
-        "table", "actions", "default_action", "key_getters", "kernels",
-        "dispatch",
-    )
+class _ApplyExec(_Exec):
+    __slots__ = ("actions", "default_action")
 
-    def resolve(self, entry, ctx):
-        """As :meth:`_ArmExec.resolve`, but PISA action sets are
-        entry-data-dependent: kernels compile as entries name them.
-        ``None``: unknown (scalar raises KeyError) or not vectorizable."""
+    def action(self, entry, ctx):
         name = self.default_action if entry is None else entry.action
-        pair = self.kernels.get(name, _MISSING)
-        if pair is _MISSING:
-            adef = self.actions.get(name)
-            pair = None
-            if adef is not None:
-                try:
-                    pair = (adef, _compile_action(adef, ctx))
-                except _Ineligible:
-                    pass
-            self.kernels[name] = pair
-        return pair
+        return name, self.actions.get(name)
 
 
 class _CondExec:
@@ -1160,58 +1245,45 @@ def _build_dispatch(np, ex, ctx: _Ctx):
     return np.array(slot_of_rank, np.int64), slots, default
 
 
-def _resolve_kernel(name, adef, ctx: _Ctx, device):
-    if adef is None:
-        adef = device.actions.get(name)
-        if adef is None:
-            raise _Ineligible(name)  # scalar raises KeyError: peel
-    return (adef, _compile_action(adef, ctx))
-
-
-def _compile_arm(arm, ctx: _Ctx, device, sp: _SigPlan):
-    ex = _ArmExec()
-    if arm.expr is None:
-        ex.pred = None
-    else:
-        value = _compile_pred_value(arm.expr, ctx)
-        if value[0] == "const":
-            ex.pred = None if value[1] else _NEVER
-        else:
-            ex.pred = value[0]
-    if ex.pred is _NEVER:
-        # Constant-false for this signature (e.g. a valid(ipv4) guard
-        # on an IPv6 chain): the arm can never fire, so its table and
-        # actions -- which may read headers this signature lacks --
-        # are never compiled, exactly as the scalar loop never
-        # evaluates them.
-        ex.empty = True
-        ex.table = None
-        ex.key_getters = ()
-        ex.tag_kernels = {}
-        ex.default_kernel = None
-        return ex
-    if arm.table_name is None:
-        ex.empty = True
-        ex.table = None
-        ex.key_getters = ()
-        ex.tag_kernels = {}
-        ex.default_kernel = None
-        return ex
-    ex.empty = False
-    table = arm.table
+def _bind_site(ex: _Exec, table, table_name, ctx: _Ctx, sp: _SigPlan):
+    """Bind a firing site to its table: key getters now, action kernels
+    on first dispatch (:meth:`_Exec.resolve`)."""
     if table is None:
-        raise _Ineligible(arm.table_name)
+        raise _Ineligible(table_name)
     field_bytes = table.batch_field_bytes()
     if field_bytes is None:
-        raise _Ineligible(arm.table_name)
+        raise _Ineligible(table_name)
     ex.table = table
     ex.key_getters = tuple(
         _make_key_getter(kf.ref, nb, ctx)
         for kf, nb in zip(table.key, field_bytes)
     )
     ex.dispatch = None
+    ex.kernels = {}
+    ex.validity, ex.step = frozenset(ctx.validity), ctx.step
     sp.execs.append(ex)
     return ex
+
+
+def _compile_arm(arm, stage_plan, ctx: _Ctx, sp: _SigPlan):
+    ex = _ArmExec()
+    ex.pred = None
+    if arm.expr is not None:
+        value = _compile_pred_value(arm.expr, ctx)
+        if value[0] != "const":
+            ex.pred = value[0]
+        elif not value[1]:
+            ex.pred = _NEVER
+    # A constant-false arm (e.g. a valid(ipv4) guard on an IPv6 chain)
+    # can never fire, so its table and actions -- which may read
+    # headers this signature lacks -- are never compiled, exactly as
+    # the scalar loop never evaluates them.
+    ex.empty = ex.pred is _NEVER or arm.table_name is None
+    if ex.empty:
+        return ex
+    ex.tag_actions = stage_plan.tag_actions
+    ex.default_pair = stage_plan.default_pair
+    return _bind_site(ex, arm.table, arm.table_name, ctx, sp)
 
 
 def _compile_ipsa_sig(core, plan, chain, terminal, prog) -> _SigPlan:
@@ -1229,24 +1301,15 @@ def _compile_ipsa_sig(core, plan, chain, terminal, prog) -> _SigPlan:
         for tsp_plan in tsp_plans:
             stages = []
             for stage_plan in tsp_plan.stages:
-                if ctx.push_at is not None and "int_shim" in stage_plan.parse_list:
-                    raise _Ineligible("int_shim")  # parses past a pushed shim
+                ctx.step += 1
+                if "int_shim" in stage_plan.parse_list:
+                    _check_unshifted("int_shim.", ctx)  # parses the shim
                 stage = _StageExec()
                 stage.parse_count = sim.ensure(stage_plan.parse_list)
-                arms = []
-                for arm in stage_plan.arms:
-                    ex = _compile_arm(arm, ctx, device, sp)
-                    if not ex.empty:
-                        ex.tag_kernels = {
-                            tag: _resolve_kernel(name, adef, ctx, device)
-                            for tag, (name, adef)
-                            in stage_plan.tag_actions.items()
-                        }
-                        ex.default_kernel = _resolve_kernel(
-                            *stage_plan.default_pair, ctx, device
-                        )
-                    arms.append(ex)
-                stage.arms = tuple(arms)
+                stage.arms = tuple(
+                    _compile_arm(arm, stage_plan, ctx, sp)
+                    for arm in stage_plan.arms
+                )
                 stages.append(stage)
             tsp = _TspExec()
             tsp.stats = tsp_plan.stats
@@ -1266,7 +1329,7 @@ def _compile_pisa_sig(core, plan, chain, terminal, prog) -> _SigPlan:
     sp = _SigPlan()
     recipes = _chain_recipes(np, chain)
     validity = {c[0] for c in chain}
-    ctx = _Ctx(np, validity, prog.template, recipes)
+    ctx = _Ctx(np, validity, prog.template, recipes, chain)
     sp.ctx = ctx
     sp.recipes = recipes
 
@@ -1274,23 +1337,11 @@ def _compile_pisa_sig(core, plan, chain, terminal, prog) -> _SigPlan:
         out = []
         for step in steps:
             if hasattr(step, "table_name"):  # ApplyStep
-                table = step.table
-                if table is None:
-                    raise _Ineligible(step.table_name)
-                field_bytes = table.batch_field_bytes()
-                if field_bytes is None:
-                    raise _Ineligible(step.table_name)
-                ex = _ApplyExec()
-                ex.table = table
-                ex.actions = step.actions
-                ex.default_action = table.default_action
-                ex.key_getters = tuple(
-                    _make_key_getter(kf.ref, nb, ctx)
-                    for kf, nb in zip(table.key, field_bytes)
+                ex = _bind_site(
+                    _ApplyExec(), step.table, step.table_name, ctx, sp
                 )
-                ex.kernels = {}
-                ex.dispatch = None
-                sp.execs.append(ex)
+                ex.actions = step.actions
+                ex.default_action = ex.table.default_action
                 out.append(ex)
             else:  # IfStep
                 value = _compile_pred_value(step.cond, ctx)

@@ -419,6 +419,26 @@ def srh_segment(instance: HeaderInstance, index: int) -> int:
     return int.from_bytes(seglist[start : start + 16], "big")
 
 
+def srh_capacity(htype: HeaderType) -> int:
+    """Most segments an SRH of type ``htype`` can hold.
+
+    A bounded layout (the usual P4 idiom) declares them as ``seg0``,
+    ``seg1``, ... fields.  For the library's varbit ``segment_list`` it
+    is what the count field can describe -- an upper bound, as the real
+    list length is per packet.
+    """
+    if htype.varlen_field != "segment_list":
+        names = {f.name for f in htype.fields}
+        count = 0
+        while f"seg{count}" in names:
+            count += 1
+        return count
+    if htype.varlen_count is None:
+        return 1 << 64  # a length callable: no bound known
+    field, unit = htype.varlen_count
+    return ((1 << htype.field_width(field)) - 1) * unit // 16
+
+
 def srh_set_segment(instance: HeaderInstance, index: int, address: int) -> None:
     """Write segment ``index`` of an SRH instance."""
     seglist = instance.get("segment_list")

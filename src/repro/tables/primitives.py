@@ -16,6 +16,7 @@ from repro.net.headers import (
     HeaderInstance,
     int_hop_records,
     int_push_hop,
+    srh_capacity,
     srh_segment,
 )
 from repro.tables.actions import ActionContext, PyPrimitive
@@ -70,12 +71,23 @@ def _read_segment(srh, index: int) -> int:
     return value
 
 
+def _segment_count(srh) -> int:
+    """How many segments ``srh`` carries, in either layout."""
+    if srh.htype.varlen_field == "segment_list":
+        seglist = srh.get("segment_list")
+        assert isinstance(seglist, bytes)
+        return len(seglist) // 16
+    return srh_capacity(srh.htype)
+
+
 def prim_srv6_end(ctx: ActionContext) -> None:
     """SRv6 End behavior (RFC 8754): advance to the next segment.
 
     ``segments_left -= 1`` and the IPv6 destination becomes
     ``segment_list[segments_left]``.  Packets with no segments left
-    are dropped (no USP/PSP flavors in the behavioral model).
+    are dropped (no USP/PSP flavors in the behavioral model), and so
+    are packets whose ``segments_left`` points past the segment list
+    (RFC 8754 Sec. 4.3.1.1 discards them).
     """
     packet = ctx.packet
     if not (packet.is_valid("srh") and packet.is_valid("ipv6")):
@@ -84,7 +96,7 @@ def prim_srv6_end(ctx: ActionContext) -> None:
     srh = packet.header("srh")
     left = srh.get("segments_left")
     assert isinstance(left, int)
-    if left == 0:
+    if not 0 < left <= _segment_count(srh):
         packet.metadata["drop"] = 1
         return
     left -= 1

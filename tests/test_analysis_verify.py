@@ -72,6 +72,47 @@ class TestDomain:
         assert dom.empty
 
 
+# -- primitive transfer functions --------------------------------------------
+
+
+class TestSrv6EndTransfer:
+    """``srv6_end`` forks a pristine ``segments_left`` into the classes
+    the device really has: forward for ``1..n_segs``, drop at 0, and
+    drop past the segment list (RFC 8754 Sec. 4.3.1.1) -- so no witness
+    claims to forward a packet the device drops."""
+
+    @staticmethod
+    def _view():
+        from repro.bench.scenarios import make_switch
+
+        return DeviceView.from_switch(make_switch("ipsa", "C2"))
+
+    def test_segments_left_forks_three_ways(self):
+        from repro.analysis.verify import PathState, SideState, _exec_primitive
+
+        side = SideState(self._view())
+        side.valid |= {"ipv6", "srh"}
+        forks = _exec_primitive(PathState(), side, "srv6_end", ("site",))
+        classes = sorted(
+            (ps.doms["srh.segments_left"].ivs, "meta.drop" in out.cur)
+            for ps, out in forks
+        )
+        assert classes == [
+            (((0, 0),), True), (((1, 2),), False), (((3, 255),), True),
+        ]
+
+    def test_out_of_range_replays_as_a_drop(self):
+        from repro.programs.srv6 import LOCAL_SIDS
+        from repro.workloads.builders import srv6_packet
+
+        data = srv6_packet(
+            src="2001:db8:9::1", active_sid=LOCAL_SIDS[0],
+            segments=["2001:db8:2::1", LOCAL_SIDS[0]], segments_left=5,
+        )
+        out = replay(self._view(), data)
+        assert "error" not in out and out["drop"]
+
+
 # -- the known-safe suite ----------------------------------------------------
 
 

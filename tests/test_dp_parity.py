@@ -187,7 +187,7 @@ class TestColumnarParity:
 
 
 @pytest.mark.parametrize("arch", ["ipsa", "pisa"])
-@pytest.mark.parametrize("case", ("base", "C1"))
+@pytest.mark.parametrize("case", ("base", "C1", "C2"))
 def test_columnar_engages_on_hot_cases(arch, case):
     """The headline cells must actually vectorize, or the parity
     matrix above would be comparing the scalar loop with itself."""
@@ -225,6 +225,76 @@ def test_mixed_divergent_batch_preserves_order(arch):
     assert len(fast_batch) == len(items)
     assert _wire(list(scalar_batch)) == _wire(list(fast_batch))
     assert _effects(scalar) == _effects(fast)
+
+
+@pytest.mark.parametrize("arch", ["ipsa", "pisa"])
+def test_srv6_mixed_batch_matches_singles(arch):
+    """C2's SRv6 End runs as one vector kernel: a batch mixing End rows,
+    transit rows, exhausted (``segments_left = 0``) and out-of-range
+    SRHs, plain IPv6 and IPv4 equals N ``inject`` calls on the wire, in
+    drop reasons and in every counter -- and the SRH group runs
+    columnar."""
+    import numpy as np
+
+    from repro.programs.srv6 import LOCAL_SIDS
+    from repro.workloads import ipv4_packet, ipv6_packet, srv6_packet
+
+    def srh(sid, left):
+        return srv6_packet(
+            src="2001:db8:9::1", active_sid=sid,
+            segments=["2001:db8:2::1", sid], segments_left=left,
+        )
+
+    kinds = [
+        srh(LOCAL_SIDS[0], 1), srh(LOCAL_SIDS[1], 2),  # End
+        srh("2001:db8:1::77", 1),  # transit: local_sid misses
+        srh(LOCAL_SIDS[0], 0), srh(LOCAL_SIDS[0], 3),  # drop
+        srh(LOCAL_SIDS[1], 200), srh("2001:db8:1::77", 9),
+        ipv6_packet("2001:db8:1::1", "2001:db8:2::5"),
+        ipv4_packet("10.1.0.1", "10.2.0.1"),
+    ]
+    rng = random.Random(36)
+    items = [(rng.choice(kinds), rng.randrange(2)) for _ in range(64)]
+    singles = _scalar_switch(arch, "C2")
+    fast = make_switch(arch, "C2")
+    single_outs = _run(singles, items)
+    batch = fast.inject_batch(items)
+    assert _wire(single_outs) == _wire(list(batch))
+    assert _effects(singles) == _effects(fast)
+    assert fast.drop_reasons["ingress_action"] > 0
+    sigs = fast.dp._columnar[1].sigs
+    srh_sigs = [sp for key, sp in sigs.items() if ("srh", 0) in key[0]]
+    assert srh_sigs and all(sp is not None and sp.prepare(np) for sp in srh_sigs)
+
+
+def test_lazy_kernels_see_their_own_stages_headers():
+    """Kernels compile on first dispatch, after the whole signature has
+    been compiled, yet each must see the headers parsed by *its* stage:
+    ``port_map`` parses only Ethernet, so a ``decrement_ttl`` there is a
+    no-op in the scalar loop (IPv4 is parsed later, on demand)."""
+    import numpy as np
+
+    from repro.programs import base_rp4_source, populate_base_tables
+    from repro.runtime import Controller
+
+    old = "    meta.intf = intf;\n"
+    source = base_rp4_source()
+    assert source.count(old) == 1
+    switches = []
+    for _ in range(2):
+        controller = Controller()
+        controller.load_base(source.replace(old, old + "    decrement_ttl();\n"))
+        populate_base_tables(controller.switch.tables)
+        switches.append(controller.switch)
+    scalar, fast = switches
+    scalar.dp.columnar_enabled = False
+    trace = case_trace("base", 32)
+    assert _wire(list(scalar.inject_batch(trace))) == _wire(
+        list(fast.inject_batch(trace))
+    )
+    assert _effects(scalar) == _effects(fast)
+    sigs = fast.dp._columnar[1].sigs.values()
+    assert sigs and all(sp is not None and sp.prepare(np) for sp in sigs)
 
 
 def _two_action_switch(arch):
@@ -446,7 +516,8 @@ class TestColumnarInt:
     ``push_int`` is one kernel per group.  Under a frozen clock
     (``ManualClock(tick=0)``) the columnar batch must equal the scalar
     loop on bytes, ports, counters, ``headers_parsed`` and drop
-    reasons; the ``int_strip`` sink (``pop_int``) still peels."""
+    reasons; rows whose ``int_strip`` entry dispatches ``pop_int``
+    still peel."""
 
     WATCHED = ("10.1.0.1", "10.2.0.1")
 
@@ -587,6 +658,15 @@ class TestColumnarInt:
         assert epochs == {1, fast.dp.epoch} and fast.dp.epoch > 1
 
     def test_sink_strip_still_peels(self):
+        """Arms compile only the actions their entries dispatch, so both
+        sink signatures compile; what peels them is decided per batch,
+        at ``prepare``.  While ``int_watch`` dispatches ``int_add``, a
+        push would land ahead of ``int_strip``'s shim check, so both
+        peel.  Once it dispatches none, shim-less rows run columnar and
+        only the rows whose ``int_sink`` entry dispatches ``pop_int``
+        (no kernel) peel."""
+        import numpy as np
+
         from repro.workloads import ipv4_packet
 
         items = [
@@ -595,9 +675,44 @@ class TestColumnarInt:
             for i in range(16)
         ]
         fast = self._compare([items], sink=True)
-        signatures = self._signatures(fast)
-        assert signatures and not any(signatures.values())
+        sigs = fast.dp._columnar[1].sigs
+        assert len(sigs) == 2 and all(sp is not None for sp in sigs.values())
+        assert not any(sp.prepare(np) for sp in sigs.values())
         assert len(fast.int_collector.records) == 8
+
+        def unwatch(controller):
+            table = controller.switch.tables["int_watch"]
+            for entry in list(table.entries()):
+                table.remove_entry(entry)
+
+        fast = self._compare([items, items], sink=True, between=unwatch)
+        split = {
+            ("int_shim", 18) in key[0]: sp.prepare(np)
+            for key, sp in fast.dp._columnar[1].sigs.items()
+        }
+        assert split == {True: False, False: True}
+        refused = [
+            ex.table.name
+            for sp in fast.dp._columnar[1].sigs.values()
+            for ex in sp.execs
+            if ex.dispatch is not None and ex.dispatch[2] is None
+        ]
+        assert refused == ["int_sink"]
+        assert len(fast.int_collector.records) == 16
+
+    def test_push_ahead_of_a_strip_peels(self):
+        """A first-hop push on a sink makes the shim valid for
+        ``int_strip``, which a per-signature validity set cannot say:
+        the lazily compiled push refuses to land ahead of the strip
+        stage's shim check, the group peels, and every record still
+        reaches the collector."""
+        import numpy as np
+
+        items = [(self._wire(0, sport=1024 + i), 0) for i in range(16)]
+        fast = self._compare([items], sink=True)
+        assert len(fast.int_collector.records) == 16
+        (sp,) = fast.dp._columnar[1].sigs.values()
+        assert sp is not None and not sp.prepare(np)
 
     def test_peeled_row_keeps_its_ingress_stamp(self):
         """A row the columnar batch peels (here: a UDP header cut short,

@@ -164,3 +164,54 @@ class TestActionDef:
     def test_param_names(self):
         act = ActionDef("a", params=[("x", 8), ("y", 4)])
         assert act.param_names() == ["x", "y"]
+
+
+class TestSrv6EndBounds:
+    """``srv6_end`` on an SRH whose ``segments_left`` points past its
+    segment list drops the packet (RFC 8754 Sec. 4.3.1.1) instead of
+    raising out of the switch.  Scalar path only: this runs without
+    NumPy."""
+
+    @staticmethod
+    def _packet(segments_left):
+        from repro.programs.srv6 import LOCAL_SIDS
+        from repro.workloads.builders import srv6_packet
+
+        return srv6_packet(
+            src="2001:db8:9::1", active_sid=LOCAL_SIDS[0],
+            segments=["2001:db8:2::1", LOCAL_SIDS[0]],
+            segments_left=segments_left,
+        )
+
+    @pytest.mark.parametrize("arch", ["ipsa", "pisa"])
+    def test_out_of_range_segments_left_drops(self, arch):
+        from repro.bench.scenarios import make_switch
+
+        switch = make_switch(arch, "C2")
+        switch.dp.columnar_enabled = False
+        assert switch.inject(self._packet(1), 0) is not None  # End
+        for left in (0, 3, 5, 255):
+            assert switch.inject(self._packet(left), 0) is None
+        batch = switch.inject_batch([(self._packet(5), 0)] * 3)
+        assert batch.dropped == 3
+        assert switch.drop_reasons == {"ingress_action": 7}
+
+    def test_library_layout_drops_past_the_list(self):
+        from repro.net.headers import IPV6, SRH
+        from repro.tables.primitives import prim_srv6_end
+
+        packet = Packet(b"")
+        packet.insert_header(HeaderInstance(IPV6))
+        srh = HeaderInstance(SRH, {
+            "segments_left": 2, "hdr_ext_len": 2,
+            "segment_list": (7).to_bytes(16, "big"),
+        })
+        packet.insert_header(srh, after="ipv6")
+        prim_srv6_end(ActionContext(packet=packet, params={}))
+        assert packet.metadata["drop"] == 1
+        srh.set("segments_left", 1)
+        packet.metadata["drop"] = 0
+        prim_srv6_end(ActionContext(packet=packet, params={}))
+        assert packet.metadata["drop"] == 0
+        assert packet.read("ipv6.dst_addr") == 7
+        assert srh.get("segments_left") == 0
