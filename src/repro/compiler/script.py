@@ -86,6 +86,15 @@ def _require(options: dict, keys: List[str], line_no: int, command: str) -> None
         )
 
 
+def _tag(options: dict, line_no: int) -> int:
+    try:
+        return int(options["tag"], 0)
+    except ValueError:
+        raise ScriptError(
+            f"line {line_no}: --tag needs an integer, got {options['tag']!r}"
+        ) from None
+
+
 def parse_script(text: str) -> List[Command]:
     """Parse a load script into a command list."""
     commands: List[Command] = []
@@ -117,14 +126,14 @@ def parse_script(text: str) -> List[Command]:
             _require(options, ["pre", "next", "tag"], line_no, "link_header")
             commands.append(
                 LinkHeaderCmd(
-                    options["pre"], options["next"], int(options["tag"], 0)
+                    options["pre"], options["next"], _tag(options, line_no)
                 )
             )
         elif verb == "unlink_header":
             options = _options(rest, line_no)
             _require(options, ["pre", "tag"], line_no, "unlink_header")
             commands.append(
-                UnlinkHeaderCmd(options["pre"], int(options["tag"], 0))
+                UnlinkHeaderCmd(options["pre"], _tag(options, line_no))
             )
         else:
             raise ScriptError(f"line {line_no}: unknown command {verb!r}")

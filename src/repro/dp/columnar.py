@@ -23,16 +23,21 @@ name them, so it holds only the actions it can really run.  Each
 primitive has one vector meaning in :data:`_KERNELS` -- SRv6 End
 gathers the next segment out of the SRH's fixed ``seg0..segN``
 columns and drops rows whose ``segments_left`` is 0 or past the list.
+C3's ``count_and_mark`` counts each matched entry's rows in batch
+order, which is the scalar order only while one site in one group
+counts a table: a signature that counts a table in two sites is
+ineligible, and a batch where two groups, or a group and a peeled row,
+could reach it runs scalar whole.
 
 A varbit header whose length is one fixed count field times a unit
 (the INT hop stack, the SRH segment list) is fixed-width *per
 signature*: classification splits its rows by the count, which joins
 the signature key.  Anything the kernels cannot express -- other
-variable-length headers, externs, ternary/range engines, arithmetic
-that could overflow 64 bits, an entry whose action has no kernel --
-*peels*: those rows fall back to the scalar per-packet loop, at their
-original batch positions, so a mixed batch is byte-for-byte identical
-to N ``inject`` calls.
+variable-length headers, sketches, meters, ternary/range engines,
+arithmetic that could overflow 64 bits, an entry whose action has no
+kernel -- *peels*: those rows fall back to the scalar per-packet loop,
+at their original batch positions, so a mixed batch is byte-for-byte
+identical to N ``inject`` calls.
 
 Cache coherence rides on the scalar plan cache: the compiled columnar
 program is keyed on the scalar plan **object** (see
@@ -474,10 +479,12 @@ class _Ctx:
     for IPSA only (``push_int`` needs it).  ``step`` counts stages in
     program order; ``push_at`` is the splice offset once a ``push_int``
     compiled, at stage ``push_step``; ``shim_read`` is the last stage
-    that reads what a push rewrites."""
+    that reads what a push rewrites.  ``site`` is the firing site whose
+    kernels compile now; ``sites`` counts the signature's sites per
+    table id."""
 
     __slots__ = ("np", "validity", "template", "recipes", "chain", "device",
-                 "step", "push_at", "push_step", "shim_read")
+                 "step", "push_at", "push_step", "shim_read", "site", "sites")
 
     def __init__(self, np, validity, template, recipes, chain, device=None):
         self.np = np
@@ -487,7 +494,8 @@ class _Ctx:
         self.chain = chain
         self.device = device
         self.step = self.shim_read = 0
-        self.push_at = self.push_step = None
+        self.push_at = self.push_step = self.site = None
+        self.sites: Dict[int, int] = {}
 
 
 def _check_unshifted(ref: str, ctx: _Ctx) -> None:
@@ -787,47 +795,21 @@ def _compile_action(adef, ctx: _Ctx):
     """ActionDef -> kernel(pc, rows, bound) running every op masked.
 
     Eligible ops: :class:`SetField` (except to ``meta.mcast_grp``,
-    which would route into the TM's multicast path) and the primitives
-    with a kernel in :data:`_KERNELS`.  Everything else (SRH and INT
-    pop, externs, counters, policers) peels.
+    which would route into the TM's multicast path), one
+    :class:`CountAndMark` per action, and the primitives with a kernel
+    in :data:`_KERNELS`.  Everything else (SRH and INT pop, sketches,
+    meters, other externs) peels.
     """
-    np = ctx.np
     params = dict(adef.params)
+    if sum(isinstance(op, act.CountAndMark) for op in adef.ops) > 1:
+        raise _Ineligible("count_and_mark")  # per packet: count, mark, count
     kernels = []
     for op in adef.ops:
         if isinstance(op, act.SetField):
-            dest = op.dest
-            if "." not in dest:
-                raise _Ineligible(dest)
-            scope, field = dest.split(".", 1)
             value = _compile_action_value(op.expr, ctx, params)
-            if value[0] == "const":
-                const = np.uint64(value[1])
-
-                def vfn(pc, rows, bound, _c=const):
-                    return _c
-            else:
-                vfn = value[0]
-            if scope == "meta":
-                if field == "mcast_grp":
-                    raise _Ineligible(dest)
-                tmpl = ctx.template.get(field, 0)
-                if isinstance(tmpl, bool) or not isinstance(tmpl, int):
-                    raise _Ineligible(dest)
-
-                def meta_kernel(pc, rows, bound, _f=field, _v=vfn):
-                    pc.set_meta(_f, _v(pc, rows, bound), rows)
-
-                kernels.append(meta_kernel)
-            else:
-                recipe = ctx.recipes.get(dest)
-                if recipe is None or scope not in ctx.validity:
-                    raise _Ineligible(dest)
-
-                def field_kernel(pc, rows, bound, _d=dest, _v=vfn):
-                    pc.set_field(_d, _v(pc, rows, bound), rows)
-
-                kernels.append(field_kernel)
+            kernels.append(_compile_store(op.dest, ctx, _as_fn(ctx.np, value)))
+        elif isinstance(op, act.CountAndMark):
+            kernels.append(_compile_count_and_mark(op, ctx, params))
         elif isinstance(op, act.PyPrimitive):
             kernel = _compile_primitive(op.name, ctx, params)
             if kernel is not None:
@@ -840,6 +822,83 @@ def _compile_action(adef, ctx: _Ctx):
             kernel(pc, rows, bound)
 
     return run
+
+
+def _compile_store(dest: str, ctx: _Ctx, value):
+    """Kernel writing ``value(pc, rows, bound)`` to ``dest`` as
+    :class:`SetField` does: a template-int metadata field other than
+    ``mcast_grp``, or a field with a recipe of a header valid in this
+    signature."""
+    scope, dot, field = dest.partition(".")
+    if not dot:
+        raise _Ineligible(dest)
+    if scope == "meta":
+        tmpl = ctx.template.get(field, 0)
+        if field == "mcast_grp" or isinstance(tmpl, bool) or not isinstance(
+            tmpl, int
+        ):
+            raise _Ineligible(dest)
+
+        def meta_kernel(pc, rows, bound):
+            pc.set_meta(field, value(pc, rows, bound), rows)
+
+        return meta_kernel
+    if ctx.recipes.get(dest) is None or scope not in ctx.validity:
+        raise _Ineligible(dest)
+
+    def field_kernel(pc, rows, bound):
+        pc.set_field(dest, value(pc, rows, bound), rows)
+
+    return field_kernel
+
+
+#: ``bound`` key of a hit slot's ``(ranks, entries)``: the matched entry
+#: rank of each row and the batch index's entry list the ranks index.
+_MATCHED = object()
+
+
+def _compile_count_and_mark(op, ctx: _Ctx, params: Dict[str, int]):
+    """:meth:`repro.tables.actions.CountAndMark.execute` over one slot's
+    rows, exact to the per-packet order.  The rows come in batch order;
+    a stable sort by entry rank gives each row its 1-based ordinal in
+    its entry's run, so its counter after the increment is ``counter +
+    ordinal`` and it marks when that passes its threshold.  Each touched
+    entry's counter then moves once, by its run length.  That order is
+    only the scalar loop's when one site per signature counts a table
+    (a second site would interleave increments per packet) and one
+    group per batch does (:func:`try_run_batch`)."""
+    np = ctx.np
+    site = ctx.site
+    width = params.get(op.threshold_param)
+    if width is None or width > 64 or ctx.sites[id(site.table)] > 1:
+        raise _Ineligible("count_and_mark")
+    one = np.uint64(1)
+    mark = _compile_store(op.dest, ctx, lambda pc, rows, bound: one)
+    site.counts = True
+
+    def count_kernel(pc, rows, bound):
+        ranks, entries = bound[_MATCHED]
+        order = np.argsort(ranks, kind="stable")
+        ranked = ranks[order]
+        opens = np.ones(ranked.size, bool)
+        np.not_equal(ranked[1:], ranked[:-1], out=opens[1:])
+        run = np.cumsum(opens) - 1  # each sorted row's run number
+        starts = np.flatnonzero(opens)
+        ordinal = np.arange(1, ranked.size + 1) - starts[run]
+        limits = []  # a run's rows mark once their ordinal passes it
+        for rank, threshold, count in zip(
+            ranked[starts].tolist(),
+            bound[op.threshold_param][order[starts]].tolist(),
+            np.diff(np.append(starts, ranked.size)).tolist(),
+        ):
+            entry = entries[rank]
+            limits.append(min(max(threshold - entry.counter, 0), count))
+            entry.counter += count
+        marked = ordinal > np.array(limits)[run]
+        if marked.any():
+            mark(pc, rows[order[marked]], bound)
+
+    return count_kernel
 
 
 def _compile_primitive(name: str, ctx: _Ctx, params: Dict[str, int]):
@@ -1113,7 +1172,7 @@ class _Exec:
     entries and default can run."""
 
     __slots__ = ("table", "key_getters", "dispatch", "kernels", "validity",
-                 "step")
+                 "step", "counts")
 
     def resolve(self, entry, ctx):
         """The (adef, kernel) pair ``entry`` (``None``: a miss) runs;
@@ -1124,7 +1183,7 @@ class _Exec:
         if pair is _MISSING:
             pair = None
             if adef is not None:
-                ctx.validity, ctx.step = self.validity, self.step
+                ctx.validity, ctx.step, ctx.site = self.validity, self.step, self
                 try:
                     pair = (adef, _compile_action(adef, ctx))
                 except _Ineligible:
@@ -1225,8 +1284,10 @@ def _build_dispatch(np, ex, ctx: _Ctx):
             pairs.append(pair)
         slot_of_rank.append(slot)
     default = ex.resolve(None, ctx)
-    if default is None:
-        return None
+    if default is None or any(
+        isinstance(op, act.CountAndMark) for op in default[0].ops
+    ):
+        return None  # a miss has no entry to count: the scalar loop raises
     try:
         slots = [
             (kernel, _param_columns(np, adef, [
@@ -1260,6 +1321,8 @@ def _bind_site(ex: _Exec, table, table_name, ctx: _Ctx, sp: _SigPlan):
     )
     ex.dispatch = None
     ex.kernels = {}
+    ex.counts = False  # a count_and_mark kernel compiled here
+    ctx.sites[id(table)] = ctx.sites.get(id(table), 0) + 1
     ex.validity, ex.step = frozenset(ctx.validity), ctx.step
     sp.execs.append(ex)
     return ex
@@ -1423,7 +1486,7 @@ def _fire_arm(ex, pc, rows, stats, np) -> None:
     count = int(rows.size)
     stats.account_batch(lookups=count, actions_run=count)
     cols = [getter(pc, rows) for getter in ex.key_getters]
-    idx, _entries = ex.table.lookup_batch(
+    idx, entries = ex.table.lookup_batch(
         np, cols, pc.get("meta.packet_length")[rows]
     )
     slot_of_rank, slots, default = ex.dispatch[2]
@@ -1436,17 +1499,19 @@ def _fire_arm(ex, pc, rows, stats, np) -> None:
         if rows.size == 0:
             return
     if slot_of_rank is None:
-        _run_slot(slots[0], pc, rows, idx)
+        _run_slot(slots[0], pc, rows, idx, entries)
     else:
         slot_of_row = slot_of_rank[idx]
         for slot in _distinct(np, slot_of_row).tolist():
             chosen = slot_of_row == slot
-            _run_slot(slots[slot], pc, rows[chosen], idx[chosen])
+            _run_slot(slots[slot], pc, rows[chosen], idx[chosen], entries)
 
 
-def _run_slot(slot, pc, rows, ranks) -> None:
+def _run_slot(slot, pc, rows, ranks, entries) -> None:
     kernel, columns = slot
-    kernel(pc, rows, {name: col[ranks] for name, col in columns.items()})
+    bound = {name: col[ranks] for name, col in columns.items()}
+    bound[_MATCHED] = (ranks, entries)
+    kernel(pc, rows, bound)
 
 
 def _note_drops(device, reason, count: int) -> None:
@@ -1681,7 +1746,8 @@ def try_run_batch(core, items, stamps=None) -> Optional[List[object]]:
     INT clock.  Returns the per-row ``PortOut | None`` outputs list, or
     ``None`` when the batch should run on the scalar loop instead (no
     NumPy, unsupported architecture/state, too few rows to amortize the
-    column build, or nothing vectorizable in it).
+    column build, nothing vectorizable in it, or a ``count_and_mark``
+    table that two groups, or a group and a peeled row, could reach).
     """
     np = _numpy()
     if np is None:
@@ -1719,6 +1785,9 @@ def try_run_batch(core, items, stamps=None) -> Optional[List[object]]:
         runnable.append((sp, rows))
     if not runnable:
         return None  # nothing vectorizable: plain scalar loop is cheaper
+    counted = [id(ex.table) for sp, _ in runnable for ex in sp.execs if ex.counts]
+    if counted and (peel_arrays or len(set(counted)) < len(counted)):
+        return None  # a counter must see its rows in batch order
     outputs: List[object] = [None] * n
     stamp_col = None
     if stamps is not None:

@@ -80,25 +80,23 @@ def tokenize(source: str) -> List[Token]:
                 raise LangError("unterminated block comment", line, col)
             advance(end + 2 - i)
             continue
-        if ch.isdigit():
+        if ch in "0123456789":
             start, start_line, start_col = i, line, col
-            if source.startswith("0x", i) or source.startswith("0X", i):
+            base, digits = 10, "0123456789_"
+            if source.startswith(("0x", "0X", "0b", "0B"), i):
+                base = 16 if source[i + 1] in "xX" else 2
+                digits = "0123456789abcdefABCDEF_" if base == 16 else "01_"
                 advance(2)
-                while i < n and (source[i].isdigit() or source[i] in "abcdefABCDEF_"):
-                    advance(1)
-                text = source[start:i]
-                value = int(text.replace("_", ""), 16)
-            elif source.startswith("0b", i) or source.startswith("0B", i):
-                advance(2)
-                while i < n and source[i] in "01_":
-                    advance(1)
-                text = source[start:i]
-                value = int(text.replace("_", ""), 2)
-            else:
-                while i < n and (source[i].isdigit() or source[i] == "_"):
-                    advance(1)
-                text = source[start:i]
-                value = int(text.replace("_", ""))
+            while i < n and source[i] in digits:
+                advance(1)
+            text = source[start:i]
+            body = text if base == 10 else text[2:]
+            try:
+                value = int(body.replace("_", ""), base)
+            except ValueError:  # "0x" / "0b" without digits
+                raise LangError(
+                    f"malformed integer literal {text!r}", start_line, start_col
+                ) from None
             tokens.append(Token(TokenKind.INT, text, start_line, start_col, value))
             continue
         if ch.isalpha() or ch == "_":

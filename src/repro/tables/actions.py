@@ -165,7 +165,8 @@ class RemoveHeaderOp:
 @dataclass(frozen=True)
 class CountAndMark:
     """Increment the matched entry's counter; mark once it exceeds a
-    threshold.  This is the C3 flow-probe primitive."""
+    threshold.  This is the C3 flow-probe primitive.  A failing op (no
+    matched entry, an unbound threshold) leaves the counter as it was."""
 
     threshold_param: str
     dest: str
@@ -174,12 +175,12 @@ class CountAndMark:
         entry = ctx.entry
         if entry is None:
             raise RuntimeError("count_and_mark requires a matched table entry")
-        entry.counter += 1  # type: ignore[attr-defined]
         threshold = ctx.params.get(self.threshold_param)
         if threshold is None:
             raise KeyError(
                 f"action parameter {self.threshold_param!r} not bound"
             )
+        entry.counter += 1  # type: ignore[attr-defined]
         if entry.counter > threshold:  # type: ignore[attr-defined]
             ctx.packet.write(self.dest, 1)
 

@@ -141,3 +141,11 @@ class TestScriptParsing:
             parse_script("frobnicate a b")
         with pytest.raises(ScriptError):
             parse_script("load x.rp4 --func_name")  # dangling option
+
+    @pytest.mark.parametrize("line", [
+        "link_header --pre a --next b --tag six",
+        "unlink_header --pre a --tag 0x",
+    ])
+    def test_non_numeric_tag(self, line):
+        with pytest.raises(ScriptError, match="line 2: --tag"):
+            parse_script("// header links\n" + line)

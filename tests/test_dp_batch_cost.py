@@ -25,7 +25,10 @@ is part of the signature and ``push_int`` runs once per group, so a
 burst whose packets carry three hop records costs exactly the calls of
 one whose packets carry one.  The SRv6 test does the same for SRv6 End
 on the ``dev_srv6_mix`` shape: whatever share of the SRH rows visit the
-node's SID, the burst costs the same calls and peels no row.
+node's SID, the burst costs the same calls and peels no row.  The probe
+test does it for C3's ``count_and_mark``: whatever share of the rows
+belong to probed flows, the counting costs the same calls and peels no
+row.
 """
 
 import random
@@ -55,6 +58,11 @@ CALL_BUDGET = 3195
 #: Calls one warm 256-row ``dev_srv6_mix`` burst may cost, whatever its
 #: End:transit ratio: the measured 4 088 (CPython 3.11, NumPy 2.4) + 15%.
 SRV6_CALL_BUDGET = 4701
+
+#: Calls one warm 256-row burst through C3's flow probe may cost,
+#: whatever its probed share: the measured 2 116 (CPython 3.11, NumPy
+#: 2.4) + 15%.  Before the kernel every IPv4 row peeled.
+PROBE_CALL_BUDGET = 2433
 
 
 def _routes(count):
@@ -263,3 +271,57 @@ def test_srv6_calls_do_not_depend_on_the_end_share(monkeypatch):
     assert peeled == []
     assert many == few
     assert few <= SRV6_CALL_BUDGET
+
+
+def _probe_mix(probed_share):
+    """The 2 048-route device with C3 live, and a 256-row IPv4 burst:
+    ``probed_share`` of it on the two probed flows (alternating), the
+    rest on unprobed flows to the routed networks, shuffled."""
+    from repro.programs import (
+        flowprobe_load_script,
+        flowprobe_rp4_source,
+        populate_flowprobe_tables,
+    )
+    from repro.programs.flowprobe import PROBED_FLOWS
+
+    controller = _controller(2048)
+    controller.run_script(
+        flowprobe_load_script(), {"flowprobe.rp4": flowprobe_rp4_source()}
+    )
+    populate_flowprobe_tables(controller.switch.tables)
+    flows = sorted(PROBED_FLOWS)
+    n_probed = round(BURST * probed_share)
+    v4_pool = _many_flows()[0]
+    items = [
+        (ipv4_packet(*flows[i % 2], sport=1024 + i, payload=bytes(22)), i % 2)
+        for i in range(n_probed)
+    ] + [
+        (ipv4_packet("10.1.0.9", format_ipv4(v4_pool[i]), sport=1024 + i,
+                     payload=bytes(22)), i % 2)
+        for i in range(BURST - n_probed)
+    ]
+    random.Random(37).shuffle(items)
+    return controller.switch, items
+
+
+def test_probe_calls_do_not_depend_on_the_probed_share(monkeypatch):
+    """``count_and_mark`` is one vector kernel: a C3 burst peels no row,
+    and one with 10% of its rows on probed flows costs exactly the calls
+    of one with 60%."""
+    from repro.dp import frontdoor
+
+    peeled = []
+    scalar_rows = frontdoor.run_scalar_rows
+
+    def spy(core, items, rows, outputs, stamps=None):
+        peeled.extend(rows)
+        return scalar_rows(core, items, rows, outputs, stamps)
+
+    monkeypatch.setattr(frontdoor, "run_scalar_rows", spy)
+    few = _calls_per_burst(*_probe_mix(0.1))
+    many = _calls_per_burst(*_probe_mix(0.6))
+    print(f"calls per {BURST}-row C3 burst: {few} @ 10% probed, "
+          f"{many} @ 60% (budget {PROBE_CALL_BUDGET})")
+    assert peeled == []
+    assert many == few
+    assert few <= PROBE_CALL_BUDGET

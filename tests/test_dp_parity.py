@@ -65,7 +65,8 @@ def _effects(switch):
         },
         "entries": {
             name: sorted(
-                (repr(e.key), e.tag, e.hits, e.bytes) for e in table.entries()
+                (repr(e.key), e.tag, e.hits, e.bytes, e.counter)
+                for e in table.entries()
             )
             for name, table in switch.tables.items()
         },
@@ -187,7 +188,7 @@ class TestColumnarParity:
 
 
 @pytest.mark.parametrize("arch", ["ipsa", "pisa"])
-@pytest.mark.parametrize("case", ("base", "C1", "C2"))
+@pytest.mark.parametrize("case", ("base", "C1", "C2", "C3"))
 def test_columnar_engages_on_hot_cases(arch, case):
     """The headline cells must actually vectorize, or the parity
     matrix above would be comparing the scalar loop with itself."""
@@ -265,6 +266,231 @@ def test_srv6_mixed_batch_matches_singles(arch):
     sigs = fast.dp._columnar[1].sigs
     srh_sigs = [sp for key, sp in sigs.items() if ("srh", 0) in key[0]]
     assert srh_sigs and all(sp is not None and sp.prepare(np) for sp in srh_sigs)
+
+
+PROBED = (("10.1.0.1", "10.2.0.1"), ("10.1.0.2", "10.2.0.2"))  # thresholds 5, 100
+
+
+def _probe_source(arch, edit=None):
+    """C3's snippet (IPSA) or whole P4 program (PISA) with the probe
+    marking ``meta.drop``, so every mark shows on the wire as a drop;
+    ``edit(source)`` rewrites it further."""
+    from repro.programs import flowprobe_rp4_source
+    from repro.programs.p4_variants import flowprobe_p4_source
+
+    old = "count_and_mark(threshold, meta.flow_marked);"
+    if arch == "ipsa":
+        source, dest = flowprobe_rp4_source(), "meta.drop"
+    else:
+        source, dest = flowprobe_p4_source(), "standard_metadata.drop"
+    assert source.count(old) == 1
+    source = source.replace(old, f"count_and_mark(threshold, {dest});")
+    return source if edit is None else edit(source)
+
+
+def _probe_switch(arch, source, script=None):
+    """Base + probe, with both ``PROBED`` flows installed."""
+    from repro.pisa.switch import PisaSwitch
+    from repro.programs import (
+        flowprobe_load_script,
+        populate_base_tables,
+        populate_flowprobe_tables,
+    )
+
+    if arch == "ipsa":
+        controller = make_ipsa_controller("base")
+        controller.run_script(
+            script or flowprobe_load_script(), {"flowprobe.rp4": source}
+        )
+        switch = controller.switch
+    else:
+        switch = PisaSwitch(n_stages=8)
+        switch.load(source)
+        populate_base_tables(switch.tables)
+    populate_flowprobe_tables(switch.tables)
+    return switch
+
+
+def _probe_flow(flow, i, proto="udp"):
+    from repro.workloads import ipv4_packet
+
+    src, dst = PROBED[flow]
+    return (ipv4_packet(src, dst, sport=5000 + i, proto=proto), i % 2)
+
+
+def _outcome(run):
+    """The wire image of ``run()``'s outputs, or what it raised."""
+    try:
+        return _wire(list(run()))
+    except Exception as error:  # compared with the other side, not swallowed
+        return type(error), str(error)
+
+
+@pytest.mark.parametrize("arch", ["ipsa", "pisa"])
+class TestColumnarProbe:
+    """C3's ``count_and_mark`` is one vector kernel that counts each
+    entry's rows in batch order.  With the mark on ``meta.drop`` a
+    batch must equal N ``inject`` calls slot for slot -- the first
+    packet past a threshold drops in the same slot -- and in every
+    entry counter.  A batch in which two groups, or a group and a
+    peeled row, could reach the counting table runs scalar, as does a
+    signature that applies the table twice."""
+
+    def _compare(self, monkeypatch, arch, batches, source=None, script=None,
+                 prime=None):
+        """Run ``batches`` through ``inject_batch`` and packet by packet
+        (what either raises must match too); returns the rows the
+        batched device ran on the scalar loop."""
+        from repro.dp import frontdoor
+
+        source = source or _probe_source(arch)
+        singles, fast = (_probe_switch(arch, source, script) for _ in range(2))
+        singles.dp.columnar_enabled = False
+        for switch in (singles, fast):
+            if prime is not None:
+                prime(switch.tables["flow_probe"])
+        scalar_rows = []
+        run_scalar_rows = frontdoor.run_scalar_rows
+
+        def spy(core, items, rows, outputs, stamps=None, meter=None):
+            if core is fast.dp:
+                scalar_rows.extend(rows)
+            return run_scalar_rows(core, items, rows, outputs, stamps, meter)
+
+        monkeypatch.setattr(frontdoor, "run_scalar_rows", spy)
+        for items in batches:
+            assert _outcome(lambda: fast.inject_batch(items)) == _outcome(
+                lambda: _run(singles, items)
+            )
+        assert _effects(fast) == _effects(singles)
+        return fast, scalar_rows
+
+    def test_thresholds_cross_mid_batch_and_stay_passed(self, monkeypatch, arch):
+        """Flow 0 passes 5 in the first batch and stays past it in the
+        second; flow 1 starts at 97 of 100 and passes it mid-batch."""
+        from repro.workloads import ipv4_packet
+
+        def prime(table):
+            next(e for e in table.entries() if e.action_data["threshold"] == 100
+                 ).counter = 97
+
+        rng = random.Random(37)
+        batches = []
+        for _ in range(2):
+            items = [_probe_flow(i % 2, i) for i in range(16)] + [
+                (ipv4_packet("10.1.0.9", f"10.2.1.{i}", sport=6000 + i), 0)
+                for i in range(24)
+            ]
+            rng.shuffle(items)
+            batches.append(items)
+        fast, scalar_rows = self._compare(monkeypatch, arch, batches,
+                                          prime=prime)
+        assert scalar_rows == []
+        # 8 rows per flow per batch: 3 + 5 marks, then 8 + 8
+        assert fast.drop_reasons["ingress_action"] == (8 - 5) + (8 - 3) + 16
+        assert sorted(e.counter for e in fast.tables["flow_probe"].entries()
+                      ) == [16, 97 + 16]
+
+    def test_flow_split_across_two_signatures_runs_scalar(self, monkeypatch,
+                                                          arch):
+        items = [_probe_flow(0, i, "tcp" if i % 3 else "udp") for i in range(24)]
+        fast, scalar_rows = self._compare(monkeypatch, arch, [items])
+        assert scalar_rows == list(range(len(items)))
+        assert fast.drop_reasons["ingress_action"] == 24 - 5
+
+    def test_a_peeled_row_runs_the_batch_scalar(self, monkeypatch, arch):
+        """Row 2's UDP header is cut short: classification peels it.  On
+        IPSA no stage parses UDP, so it still counts; PISA's parser
+        raises on it, after rows 0 and 1 counted."""
+        items = [_probe_flow(0, i) for i in range(16)]
+        items[2] = (items[2][0][:-4], 0)
+        _fast, scalar_rows = self._compare(monkeypatch, arch, [items])
+        assert scalar_rows == list(range(len(items)))
+
+    def test_one_table_in_two_stages_is_ineligible(self, monkeypatch, arch):
+        import numpy as np
+
+        if arch == "ipsa":
+            def edit(source):
+                stage = source[source.index("stage flow_probe"):
+                               source.index("user_funcs")]
+                return source.replace("user_funcs", stage.replace(
+                    "stage flow_probe", "stage flow_probe_again"
+                ) + "user_funcs").replace(
+                    "func flow_probe { flow_probe }",
+                    "func flow_probe { flow_probe flow_probe_again }",
+                )
+            script = (
+                "load flowprobe.rp4 --func_name flow_probe\n"
+                "add_link l2_l3 flow_probe\n"
+                "del_link l2_l3 ipv4_lpm\n"
+                "add_link flow_probe flow_probe_again\n"
+                "add_link flow_probe_again ipv4_lpm\n"
+            )
+        else:
+            def edit(source):
+                old = "            flow_probe.apply();\n"
+                assert source.count(old) == 1
+                return source.replace(old, old + old)
+            script = None
+        items = [_probe_flow(i % 2, i) for i in range(16)]
+        fast, scalar_rows = self._compare(
+            monkeypatch, arch, [items], _probe_source(arch, edit), script,
+        )
+        assert scalar_rows == list(range(len(items)))
+        assert fast.drop_reasons["ingress_action"] == 8 - 2
+        (sp,) = fast.dp._columnar[1].sigs.values()
+        sites = [ex.table.name for ex in sp.execs].count("flow_probe")
+        assert sites == 2 and not sp.prepare(np)
+
+    def test_two_counts_in_one_action_are_ineligible(self, monkeypatch, arch):
+        """Per packet the action counts, marks, then counts again: two
+        increments a packet, which one kernel pass per op cannot order."""
+        def edit(source):
+            start = source.index("count_and_mark(")
+            call = source[start:source.index(";", start) + 1]
+            return source.replace(call, call + " " + call)
+
+        items = [_probe_flow(0, i) for i in range(16)]
+        fast, scalar_rows = self._compare(
+            monkeypatch, arch, [items], _probe_source(arch, edit)
+        )
+        assert scalar_rows == list(range(len(items)))
+        assert fast.drop_reasons["ingress_action"] == 16 - 2
+
+    def test_count_and_mark_default_fails_like_scalar(self, arch):
+        from repro.dp import columnar
+        from repro.workloads import ipv4_packet
+
+        def edit(source):
+            if arch == "pisa":
+                return source
+            old = "1: probe_count;\n        default: NoAction;"
+            assert source.count(old) == 1
+            return source.replace(old, "1: probe_count;\n        default: probe_count;")
+
+        def build():
+            switch = _probe_switch(arch, _probe_source(arch, edit))
+            table = switch.tables["flow_probe"]
+            table.default_action, table.default_data = "probe_count", {"threshold": 3}
+            return switch
+
+        items = [_probe_flow(0, i) for i in range(12)]
+        items[7] = (ipv4_packet("10.1.0.9", "10.2.1.1"), 0)  # a miss
+        scalar, fast, untouched = build(), build(), build()
+        scalar.dp.columnar_enabled = False
+        failures = []
+        for switch in (scalar, fast):
+            with pytest.raises(RuntimeError) as raised:
+                switch.inject_batch(items)
+            failures.append(str(raised.value))
+        assert failures[0] == failures[1]
+        assert "count_and_mark" in failures[0]
+        assert _effects(scalar) == _effects(fast)
+        assert scalar.packets_in == 8  # died on the miss
+        pristine = _effects(untouched)
+        assert columnar.try_run_batch(untouched.dp, items) is None
+        assert _effects(untouched) == pristine
 
 
 def test_lazy_kernels_see_their_own_stages_headers():

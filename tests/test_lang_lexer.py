@@ -41,6 +41,23 @@ class TestTokenize:
         with pytest.raises(LangError):
             tokenize("a $ b")
 
+    @pytest.mark.parametrize("text", ["0x", "0b", "x = 0X;", "0b2", "0x_"])
+    def test_radix_prefix_without_digits(self, text):
+        with pytest.raises(LangError, match="malformed integer literal"):
+            tokenize(text)
+
+    @pytest.mark.parametrize("frontend", ["rp4", "p4"])
+    def test_parsers_report_an_empty_hex_literal(self, frontend):
+        """Both front ends share the lexer: a bare ``0x`` in a source is
+        a located :class:`LangError`, not a ``ValueError`` from ``int``."""
+        from repro.p4 import parse_p4
+        from repro.rp4 import parse_rp4
+
+        parse = parse_rp4 if frontend == "rp4" else parse_p4
+        with pytest.raises(LangError) as raised:
+            parse("header h_t {\n    bit<8> f;\n}\nconst bit<8> K = 0x;\n")
+        assert str(raised.value).startswith("4:18: malformed integer literal")
+
     def test_line_and_column_tracking(self):
         tokens = tokenize("a\n  b")
         assert (tokens[0].line, tokens[0].column) == (1, 1)

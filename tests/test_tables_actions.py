@@ -113,6 +113,13 @@ class TestOps:
         with pytest.raises(RuntimeError):
             op.execute(ActionContext(Packet(b""), params={"threshold": 1}))
 
+    def test_count_and_mark_unbound_threshold_leaves_the_counter(self):
+        entry = TableEntry(key=(1,), action="probe", counter=4)
+        op = CountAndMark("threshold", "meta.flow_marked")
+        with pytest.raises(KeyError, match="threshold"):
+            op.execute(ActionContext(Packet(b""), params={}, entry=entry))
+        assert entry.counter == 4
+
     def test_py_primitive(self):
         seen = []
         op = PyPrimitive("probe", lambda ctx: seen.append(ctx.packet))
