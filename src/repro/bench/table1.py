@@ -22,7 +22,7 @@ from typing import Dict, List, Tuple
 
 from repro.p4.hlir import build_hlir
 from repro.p4.parser import parse_p4
-from repro.pisa.pipeline import FixedPipeline
+from repro.pisa.pipeline import place_stages
 from repro.pisa.switch import PisaSwitch
 from repro.programs import (
     base_p4_source,
@@ -125,7 +125,7 @@ def measure_bmv2_flow(case: str) -> Table1Row:
 
     started = time.perf_counter()
     hlir = build_hlir(parse_p4(variant_source))
-    FixedPipeline(hlir, {}, {}, n_stages=None)  # back-end placement pass
+    place_stages(hlir)  # back-end placement pass
     t_compile = time.perf_counter() - started
 
     # Loading = the configuration swap; repopulation timed separately

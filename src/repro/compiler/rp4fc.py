@@ -6,8 +6,13 @@ outputs the APIs for controller to access the tables at runtime."
 
 The transformation is structural:
 
-* each P4 ``table.apply()`` site becomes one rP4 *stage* whose matcher
-  predicate is the conjunction of the enclosing ``if`` conditions;
+* each P4 ``table.apply()`` site becomes one rP4 *stage* (named after
+  the table; a second site of one table gets a ``_2`` suffix) whose matcher
+  predicate is the conjunction of the enclosing ``if`` conditions --
+  so a guard is evaluated again at every stage under it, and a program
+  in which a table changes what its enclosing ``if`` reads before
+  another table under that ``if`` runs is rejected (P4 evaluates the
+  ``if`` once);
 * the P4 parser state machine becomes per-header ``implicit parser``
   clauses (the header linkage);
 * actions and tables carry over unchanged (mini-P4 reuses the rP4
@@ -17,10 +22,11 @@ The transformation is structural:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.compiler.api_gen import generate_api_source
-from repro.lang.expr import EBin, EUnary, Expr, SApply, SAssign, SCall, SIf, Stmt
+from repro.compiler.dependency import STAR, expr_reads, guard_headers, stage_effects
+from repro.lang.expr import EBin, EUnary, EValid, Expr, SApply, SAssign, SCall, SIf, Stmt
 from repro.p4.hlir import Hlir, HlirTable
 from repro.rp4.ast import (
     HeaderDecl,
@@ -58,8 +64,6 @@ def _conjoin(conds: List[Expr]) -> Optional[Expr]:
 
 def _referenced_headers(hlir: Hlir, table: HlirTable, cond: Optional[Expr]) -> List[str]:
     """Header instances the stage's parser sub-module must provide."""
-    from repro.compiler.dependency import expr_reads, guard_headers
-
     names: List[str] = []
 
     def note(scope: str) -> None:
@@ -126,8 +130,8 @@ def rp4fc(hlir: Hlir) -> Rp4fcResult:
             default_action=table.default_action,
         )
 
-    ingress = _stages_from_flow(hlir, hlir.ingress_flow, "ingress")
-    egress = _stages_from_flow(hlir, hlir.egress_flow, "egress")
+    ingress = _stages_from_flow(hlir, program, hlir.ingress_flow, "ingress")
+    egress = _stages_from_flow(hlir, program, hlir.egress_flow, "egress")
     for stage in ingress:
         program.ingress_stages[stage.name] = stage
     for stage in egress:
@@ -151,8 +155,49 @@ def rp4fc(hlir: Hlir) -> Rp4fcResult:
     )
 
 
+#: Primitives that add or remove a header, i.e. change its validity.
+_VALIDITY_PRIMITIVES = {
+    "push_srh": "srh", "pop_srh": "srh", "push_int": "int_shim", "pop_int": "int_shim"
+}
+
+
+def _valid_reads(expr: Optional[Expr]) -> Set[str]:
+    """``<header>.isValid()`` for every validity bit ``expr`` reads."""
+    if isinstance(expr, EValid):
+        return {f"{expr.header}.isValid()"}
+    if isinstance(expr, EUnary):
+        return _valid_reads(expr.operand)
+    if isinstance(expr, EBin):
+        return _valid_reads(expr.left) | _valid_reads(expr.right)
+    return set()
+
+
+def _check_guard(program, cond: Expr, stages: List[StageDecl], side: str):
+    """Refuse an ``if`` whose tables change what it reads mid-branch.
+
+    Each stage re-evaluates the guard, so once a table under the ``if``
+    writes a field (or a header's validity) the condition reads, every
+    later table under it -- either branch -- could see the other
+    outcome than P4's single evaluation gave."""
+    reads = expr_reads(cond) | _valid_reads(cond)
+    for stage in stages[:-1]:
+        writes = stage_effects(stage, program).writes | {
+            f"{_VALIDITY_PRIMITIVES[stmt.name]}.isValid()"
+            for action in stage.executor.values()
+            for stmt in getattr(program.actions.get(action), "body", ())
+            if isinstance(stmt, SCall) and stmt.name in _VALIDITY_PRIMITIVES
+        }
+        clash = sorted(reads if STAR in writes else reads & writes)
+        if clash:
+            raise Rp4fcError(
+                f"{side}: table {stage.name!r} writes {clash[0]!r}, which "
+                "its enclosing if reads; the rP4 stages after it would "
+                "evaluate that if again and could take the other branch"
+            )
+
+
 def _stages_from_flow(
-    hlir: Hlir, flow: List[Stmt], side: str
+    hlir: Hlir, program: Rp4Program, flow: List[Stmt], side: str
 ) -> List[StageDecl]:
     stages: List[StageDecl] = []
 
@@ -166,17 +211,25 @@ def _stages_from_flow(
                 arms = [MatcherArm(cond, stmt.table)]
                 if cond is not None:
                     arms.append(MatcherArm(None, None))
+                # A table applied twice gets one stage per apply site.
+                taken = {s.name for s in stages} | set(program.ingress_stages)
+                name, count = stmt.table, 1
+                while name in taken:
+                    count += 1
+                    name = f"{stmt.table}_{count}"
                 stages.append(
                     StageDecl(
-                        name=stmt.table,
+                        name=name,
                         parser=_referenced_headers(hlir, table, cond),
                         matcher=arms,
                         executor=_executor_for(table),
                     )
                 )
             elif isinstance(stmt, SIf):
+                first = len(stages)
                 walk(stmt.then_body, conds + [stmt.cond])
                 walk(stmt.else_body, conds + [EUnary("!", stmt.cond)])
+                _check_guard(program, stmt.cond, stages[first:], side)
             elif isinstance(stmt, (SAssign, SCall)):
                 raise Rp4fcError(
                     f"{side}: bare statement {stmt!r} outside an action has "

@@ -11,7 +11,7 @@ Used by both :class:`repro.ipsa.switch.IpsaSwitch` and
 """
 
 from repro.dp.core import DataplaneCore, IpsaCore, PisaCore
-from repro.dp.exec import PipelineOutcome, run_flow, run_ipsa_pipeline, run_tsp_plan
+from repro.dp.exec import PipelineOutcome, run_ipsa_pipeline, run_tsp_plan
 from repro.dp.frontdoor import (
     BatchResult,
     PortOut,
@@ -27,42 +27,35 @@ from repro.dp.hooks import (
     resolve_hooks,
 )
 from repro.dp.plan import (
-    ApplyStep,
     CompiledArm,
-    IfStep,
-    IpsaPlan,
-    PisaPlan,
+    DevicePlan,
     StagePlan,
     TspPlan,
+    compile_fixed_plan,
     compile_ipsa_plan,
-    compile_pisa_plan,
 )
 
 __all__ = [
-    "ApplyStep",
     "BatchResult",
     "CompiledArm",
     "DataplaneCore",
+    "DevicePlan",
     "ExecHooks",
-    "IfStep",
     "IpsaCore",
-    "IpsaPlan",
     "NULL_HOOKS",
     "PipelineOutcome",
     "PisaCore",
-    "PisaPlan",
     "PortOut",
     "ProfileHooks",
     "StagePlan",
     "TraceHooks",
     "TspPlan",
+    "compile_fixed_plan",
     "compile_ipsa_plan",
-    "compile_pisa_plan",
     "inject",
     "inject_batch",
     "inject_multi",
     "resolve_hooks",
-    "run_flow",
     "run_ipsa_pipeline",
     "run_tsp_plan",
 ]

@@ -17,9 +17,10 @@ evaluations, and table probes thousands of times.  This module runs
    drop/divergence, scatter dirty fields back into the byte matrix,
    and emit survivors.
 
-A table-firing site (IPSA arm, PISA apply step) compiles its action
-kernels lazily, on the first batch whose table entries or default
-name them, so it holds only the actions it can really run.  Each
+A table-firing site (a stage's matcher arm: IPSA and PISA compile to
+the same stage plans) compiles its action kernels lazily, on the first
+batch whose table entries or default name them, so it holds only the
+actions it can really run.  Each
 primitive has one vector meaning in :data:`_KERNELS` -- SRv6 End
 gathers the next segment out of the SRH's fixed ``seg0..segN``
 columns and drops rows whose ``segments_left`` is 0 or past the list.
@@ -417,7 +418,8 @@ def classify(np, items, header_types, linkage, first_header):
 
 
 # --------------------------------------------------------------------------
-# Demand-parse simulation (IPSA JIT parsing over a known chain)
+# Demand-parse simulation (JIT parsing over a known chain; a PISA plan's
+# front parser extracts the whole chain before stage 0)
 # --------------------------------------------------------------------------
 
 
@@ -475,8 +477,9 @@ class _ParseSim:
 
 
 class _Ctx:
-    """What one signature's kernels compile against.  ``device`` is set
-    for IPSA only (``push_int`` needs it).  ``step`` counts stages in
+    """What one signature's kernels compile against.  ``tm`` is the
+    plan's traffic manager (``None`` on PISA, where ``push_int`` stays
+    scalar).  ``step`` counts stages in
     program order; ``push_at`` is the splice offset once a ``push_int``
     compiled, at stage ``push_step``; ``shim_read`` is the last stage
     that reads what a push rewrites.  ``site`` is the firing site whose
@@ -484,15 +487,17 @@ class _Ctx:
     table id."""
 
     __slots__ = ("np", "validity", "template", "recipes", "chain", "device",
-                 "step", "push_at", "push_step", "shim_read", "site", "sites")
+                 "tm", "step", "push_at", "push_step", "shim_read", "site",
+                 "sites")
 
-    def __init__(self, np, validity, template, recipes, chain, device=None):
+    def __init__(self, np, validity, template, recipes, chain, device, tm):
         self.np = np
         self.validity = validity
         self.template = template
         self.recipes = recipes
         self.chain = chain
         self.device = device
+        self.tm = tm
         self.step = self.shim_read = 0
         self.push_at = self.push_step = self.site = None
         self.sites: Dict[int, int] = {}
@@ -1008,9 +1013,9 @@ def _compile_push_int(ctx: _Ctx, params: Dict[str, int]):
     the unshifted matrix.
     """
     np = ctx.np
-    device = ctx.device
-    if ctx.device is None or ctx.push_at is not None:
-        raise _Ineligible("push_int")  # PISA, or a second push
+    device, tm = ctx.device, ctx.tm
+    if tm is None or ctx.push_at is not None:
+        raise _Ineligible("push_int")  # no TM (PISA), or a second push
     if ctx.shim_read > ctx.step:
         raise _Ineligible("push_int")  # a later stage reads the shim
     width = params.get("switch_id")
@@ -1063,7 +1068,7 @@ def _compile_push_int(ctx: _Ctx, params: Dict[str, int]):
                 else pc.get("meta.ingress_ts_ns")[rows]
             ),
             "egress_ts": egress,
-            "queue_depth": np.full(m, device.pipeline.tm.occupancy(), np.uint64),
+            "queue_depth": np.full(m, tm.occupancy(), np.uint64),
             "dp_epoch": np.full(m, device.dp.epoch, np.uint64),
         }
         parts = [be_bytes(record[name], width) for name, width in INT_HOP_FIELDS]
@@ -1165,7 +1170,7 @@ def _make_key_getter(ref: str, nbytes: int, ctx: _Ctx):
 
 
 class _Exec:
-    """One table-firing site: an IPSA arm or a PISA apply step.  Its
+    """One table-firing site: a stage's matcher arm.  Its
     action kernels compile lazily, on the first dispatch that names
     them, against the header validity and stage ``step`` the site saw
     at compile time -- so a site holds only the actions its table's
@@ -1193,14 +1198,19 @@ class _Exec:
 
 
 class _ArmExec(_Exec):
-    __slots__ = ("pred", "empty", "tag_actions", "default_pair")
+    __slots__ = ("pred", "empty", "tag_actions", "default_pair", "key_field")
 
     def action(self, entry, ctx):
-        """The executor's ``(name, adef)`` for the entry's tag (a miss
-        looks up tag 0), falling back to the default, as
-        :func:`repro.dp.exec.run_tsp_plan` does."""
-        name, adef = self.tag_actions.get(
-            0 if entry is None else entry.tag, self.default_pair
+        """The stage's ``(name, adef)`` for the entry's dispatch key --
+        its executor tag or its action name; a miss keys on tag 0 or
+        the table's default action -- with the fallback
+        :func:`repro.dp.exec.run_tsp_plan` takes."""
+        if entry is None:
+            key = 0 if self.key_field == "tag" else self.table.default_action
+        else:
+            key = getattr(entry, self.key_field)
+        name, adef = (
+            self.tag_actions.get(key) or self.default_pair or (key, None)
         )
         return name, ctx.device.actions.get(name) if adef is None else adef
 
@@ -1213,18 +1223,6 @@ class _TspExec:
     __slots__ = ("stats", "stages")
 
 
-class _ApplyExec(_Exec):
-    __slots__ = ("actions", "default_action")
-
-    def action(self, entry, ctx):
-        name = self.default_action if entry is None else entry.action
-        return name, self.actions.get(name)
-
-
-class _CondExec:
-    __slots__ = ("const", "fn", "then_steps", "else_steps")
-
-
 class _SigPlan:
     """One signature's vector program: recipes, per-stage parse
     counts, arm/step kernels, and the emit layout."""
@@ -1235,7 +1233,7 @@ class _SigPlan:
     )
 
     def __init__(self):
-        self.execs: List = []  # every table-firing arm / apply step
+        self.execs: List = []  # every table-firing arm
 
     def prepare(self, np) -> bool:
         """Per-batch gate: every table's batch index and action
@@ -1258,7 +1256,7 @@ class _SigPlan:
 
 
 def _build_dispatch(np, ex, ctx: _Ctx):
-    """What one arm / apply step needs to run its actions once per
+    """What one arm needs to run its actions once per
     *action* instead of once per entry hit, for the table's current
     engine version: ``(slot_of_rank, slots, default)`` over the batch
     index's own entry list.  ``slots[i]`` is ``(kernel, columns)`` --
@@ -1346,16 +1344,20 @@ def _compile_arm(arm, stage_plan, ctx: _Ctx, sp: _SigPlan):
         return ex
     ex.tag_actions = stage_plan.tag_actions
     ex.default_pair = stage_plan.default_pair
+    ex.key_field = stage_plan.dispatch
     return _bind_site(ex, arm.table, arm.table_name, ctx, sp)
 
 
-def _compile_ipsa_sig(core, plan, chain, terminal, prog) -> _SigPlan:
+def _compile_sig(core, plan, chain, terminal, prog) -> _SigPlan:
     np = prog.np
-    device = core.device
     sp = _SigPlan()
     recipes = _chain_recipes(np, chain)
     sim = _ParseSim(chain, terminal, prog.linkage)
-    ctx = _Ctx(np, sim.parsed, prog.template, recipes, chain, device)
+    if plan.parser is not None:
+        sim.ensure([link[0] for link in chain])  # PISA's front parse
+    ctx = _Ctx(
+        np, sim.parsed, prog.template, recipes, chain, core.device, plan.tm
+    )
     sp.ctx = ctx
     sp.recipes = recipes
 
@@ -1384,52 +1386,6 @@ def _compile_ipsa_sig(core, plan, chain, terminal, prog) -> _SigPlan:
     sp.egress = compile_side(plan.egress)
     sp.parsed_count = sim.pos
     _finish_layout(sp, chain, sim.pos)
-    return sp
-
-
-def _compile_pisa_sig(core, plan, chain, terminal, prog) -> _SigPlan:
-    np = prog.np
-    sp = _SigPlan()
-    recipes = _chain_recipes(np, chain)
-    validity = {c[0] for c in chain}
-    ctx = _Ctx(np, validity, prog.template, recipes, chain)
-    sp.ctx = ctx
-    sp.recipes = recipes
-
-    def compile_steps(steps):
-        out = []
-        for step in steps:
-            if hasattr(step, "table_name"):  # ApplyStep
-                ex = _bind_site(
-                    _ApplyExec(), step.table, step.table_name, ctx, sp
-                )
-                ex.actions = step.actions
-                ex.default_action = ex.table.default_action
-                out.append(ex)
-            else:  # IfStep
-                value = _compile_pred_value(step.cond, ctx)
-                if value[0] == "const":
-                    # Signature-constant condition (validity guards):
-                    # splice in only the taken branch -- the scalar
-                    # loop never evaluates the other side, which may
-                    # reference headers this signature lacks.
-                    taken = (
-                        step.then_steps if value[1] else step.else_steps
-                    )
-                    out.extend(compile_steps(taken))
-                    continue
-                ex = _CondExec()
-                ex.const = None
-                ex.fn = value[0]
-                ex.then_steps = compile_steps(step.then_steps)
-                ex.else_steps = compile_steps(step.else_steps)
-                out.append(ex)
-        return tuple(out)
-
-    sp.ingress = compile_steps(plan.ingress)
-    sp.egress = compile_steps(plan.egress)
-    sp.parsed_count = len(chain)
-    _finish_layout(sp, chain, len(chain))
     return sp
 
 
@@ -1480,8 +1436,8 @@ def _run_stage_arms(stage: _StageExec, pc, active, stats, np) -> None:
 
 
 def _fire_arm(ex, pc, rows, stats, np) -> None:
-    """One match-action firing -- an IPSA arm or a PISA apply step --
-    over ``rows``: one batched lookup, then each action kernel once
+    """One match-action firing -- a stage's matcher arm -- over
+    ``rows``: one batched lookup, then each action kernel once
     with its parameters gathered from the dispatch columns."""
     count = int(rows.size)
     stats.account_batch(lookups=count, actions_run=count)
@@ -1519,9 +1475,13 @@ def _note_drops(device, reason, count: int) -> None:
     device.note_drop(reason, count)
 
 
-def _run_ipsa_group(sp: _SigPlan, pc, rows_global, outputs, device):
+def _run_group(sp: _SigPlan, plan, pc, rows_global, outputs, device):
     np = pc.np
     drop = pc.get("meta.drop")
+    parser = plan.parser
+    if parser is not None:  # PISA: the whole chain, before stage 0
+        parser.stats.packets += pc.m
+        parser.stats.headers_extracted += sp.parsed_count * pc.m
 
     def run_side(tsps, entering):
         for tsp in tsps:
@@ -1545,14 +1505,14 @@ def _run_ipsa_group(sp: _SigPlan, pc, rows_global, outputs, device):
     if ingress_dead:
         _note_drops(device, DropReason.INGRESS_ACTION, ingress_dead)
     survivors = all_rows[drop == 0]
-    if survivors.size:
+    if survivors.size and plan.tm is not None:
         # Every survivor is a unicast enqueue/dequeue pair through an
         # empty TM (mcast_grp is pinned to 0 by the eligibility
         # rules), grouped here by the egress port the scalar enqueue
         # would have queued on.
         ports = pc.get("meta.egress_spec")[survivors]
         unique, counts = _distinct(np, ports, counts=True)
-        device.pipeline.tm.account_passthrough(
+        plan.tm.account_passthrough(
             list(zip((int(p) for p in unique), (int(c) for c in counts)))
         )
     run_side(sp.egress, survivors)
@@ -1560,52 +1520,7 @@ def _run_ipsa_group(sp: _SigPlan, pc, rows_global, outputs, device):
     if egress_dead:
         _note_drops(device, DropReason.EGRESS_ACTION, egress_dead)
     final = survivors[drop[survivors] == 0]
-    _emit_rows(sp, pc, final, rows_global, outputs, device, None)
-
-
-def _run_flow_vec(steps, pc, rows, stats, drop, np) -> None:
-    for step in steps:
-        rows = rows[drop[rows] == 0]
-        if rows.size == 0:
-            return
-        if isinstance(step, _ApplyExec):
-            _fire_arm(step, pc, rows, stats, np)
-        else:
-            if step.const is not None:
-                branch = step.then_steps if step.const else step.else_steps
-                _run_flow_vec(branch, pc, rows, stats, drop, np)
-            else:
-                values = step.fn(pc, None, None)
-                taken = values[rows] != 0
-                _run_flow_vec(
-                    step.then_steps, pc, rows[taken], stats, drop, np
-                )
-                _run_flow_vec(
-                    step.else_steps, pc, rows[~taken], stats, drop, np
-                )
-
-
-def _run_pisa_group(sp: _SigPlan, pc, rows_global, outputs, device):
-    np = pc.np
-    parser = device.parser
-    parser.stats.packets += pc.m
-    parser.stats.headers_extracted += sp.parsed_count * pc.m
-    stats = device.pipeline.stats
-    stats.account_batch(packets=pc.m)
-    drop = pc.get("meta.drop")
-    all_rows = np.arange(pc.m)
-    _run_flow_vec(sp.ingress, pc, all_rows, stats, drop, np)
-    ingress_dead = int((drop != 0).sum())
-    if ingress_dead:
-        _note_drops(device, DropReason.INGRESS_ACTION, ingress_dead)
-    survivors = all_rows[drop == 0]
-    if survivors.size:
-        _run_flow_vec(sp.egress, pc, survivors, stats, drop, np)
-        egress_dead = int((drop[survivors] != 0).sum())
-        if egress_dead:
-            _note_drops(device, DropReason.EGRESS_ACTION, egress_dead)
-    final = survivors[drop[survivors] == 0]
-    _emit_rows(sp, pc, final, rows_global, outputs, device, device.deparser)
+    _emit_rows(sp, pc, final, rows_global, outputs, device, plan.deparser)
 
 
 def _emit_rows(sp, pc, final, rows_global, outputs, device, deparser):
@@ -1682,44 +1597,31 @@ class ColumnarProgram:
     """Vector lowering of one compiled scalar plan (sig plans cached)."""
 
     __slots__ = (
-        "np", "arch", "supported", "header_types", "linkage",
+        "np", "supported", "header_types", "linkage",
         "first_header", "template", "sigs",
     )
 
     def __init__(self, np, core, plan):
-        from repro.dp.core import IpsaCore, PisaCore
-
         self.np = np
         self.sigs: Dict[tuple, Optional[_SigPlan]] = {}
         self.template = core.metadata_template
-        device = core.device
-        if isinstance(core, IpsaCore):
-            self.arch = "ipsa"
-            self.header_types = device.header_types
-            self.linkage = device.linkage
-        elif isinstance(core, PisaCore):
-            self.arch = "pisa"
-            self.header_types = device.parser.header_types
-            self.linkage = device.parser.linkage
-        else:
-            self.arch = None
-        self.supported = self.arch is not None
-        if self.arch == "ipsa":
-            group = self.template.get("mcast_grp", 0)
-            if not isinstance(group, int) or group != 0:
-                # A default multicast group would route every packet
-                # through TM replication -- scalar only.
-                self.supported = False
-        self.first_header = core.first_header() if self.supported else None
+        # Classify with the parse graph the plan parses with.
+        source = core.device if plan.parser is None else plan.parser
+        self.header_types = source.header_types
+        self.linkage = source.linkage
+        group = self.template.get("mcast_grp", 0)
+        # A default multicast group would route every packet through
+        # TM replication -- scalar only.
+        self.supported = plan.tm is None or (
+            isinstance(group, int) and group == 0
+        )
+        self.first_header = core.first_header()
 
     def sig(self, core, plan, key, chain, terminal) -> Optional[_SigPlan]:
         sp = self.sigs.get(key, _MISSING)
         if sp is _MISSING:
-            compile_sig = (
-                _compile_ipsa_sig if self.arch == "ipsa" else _compile_pisa_sig
-            )
             try:
-                sp = compile_sig(core, plan, chain, terminal, self)
+                sp = _compile_sig(core, plan, chain, terminal, self)
             except _Ineligible:
                 sp = None
             self.sigs[key] = sp
@@ -1745,7 +1647,7 @@ def try_run_batch(core, items, stamps=None) -> Optional[List[object]]:
     front door when the batch entered; ``None`` when the device has no
     INT clock.  Returns the per-row ``PortOut | None`` outputs list, or
     ``None`` when the batch should run on the scalar loop instead (no
-    NumPy, unsupported architecture/state, too few rows to amortize the
+    NumPy, unsupported device state, too few rows to amortize the
     column build, nothing vectorizable in it, or a ``count_and_mark``
     table that two groups, or a group and a peeled row, could reach).
     """
@@ -1766,7 +1668,7 @@ def try_run_batch(core, items, stamps=None) -> Optional[List[object]]:
     prog = cached[1]
     if not prog.supported:
         return None
-    if prog.arch == "ipsa" and device.pipeline.tm.occupancy() != 0:
+    if plan.tm is not None and plan.tm.occupancy() != 0:
         return None  # leftover TM state: keep the scalar path honest
     mat, lengths, ports, groups, peel = classify(
         np, items, prog.header_types, prog.linkage, prog.first_header
@@ -1801,10 +1703,7 @@ def try_run_batch(core, items, stamps=None) -> Optional[List[object]]:
         device.packets_in += pc.m
         device.clock += pc.m
         device._packet_bytes.observe_many(pc.lengths.tolist())
-        if prog.arch == "ipsa":
-            _run_ipsa_group(sp, pc, rows, outputs, device)
-        else:
-            _run_pisa_group(sp, pc, rows, outputs, device)
+        _run_group(sp, plan, pc, rows, outputs, device)
     if peel_arrays:
         from repro.dp.frontdoor import run_scalar_rows
 

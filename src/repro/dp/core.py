@@ -21,12 +21,8 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.dp.exec import (
-    PipelineOutcome,
-    run_flow,
-    run_ipsa_pipeline,
-)
-from repro.dp.plan import compile_ipsa_plan, compile_pisa_plan
+from repro.dp.exec import PipelineOutcome, run_ipsa_pipeline, run_tsp_plan
+from repro.dp.plan import compile_fixed_plan, compile_ipsa_plan
 from repro.net.packet import INTRINSIC_METADATA, Packet
 from repro.obs.metrics import MetricsRegistry, Sample
 from repro.obs.trace import DropReason
@@ -97,8 +93,8 @@ class DataplaneCore:
         touching the live cache.
 
         The view duck-types whatever the architecture's compiler reads
-        (``pipeline``/``tables``/``actions`` for IPSA; ``pipeline``/
-        ``parser`` for PISA).  Transactions use this to pay the full
+        (``pipeline``/``tables``/``actions``, plus ``parser``/
+        ``deparser`` for PISA).  Transactions use this to pay the full
         compile cost while old plans keep serving traffic.
         """
         plan = self._compile(view)
@@ -168,10 +164,12 @@ class IpsaCore(DataplaneCore):
 
 
 class PisaCore(DataplaneCore):
-    """PISA binding: front parser, fixed flows, explicit deparser."""
+    """PISA binding: the same stage executor over PISA's plan shape --
+    front parse before stage 0, no TM between the sides, an explicit
+    deparser."""
 
     def _compile(self, device=None):
-        return compile_pisa_plan(device if device is not None else self.device)
+        return compile_fixed_plan(device if device is not None else self.device)
 
     def first_header(self) -> str:
         return self.device.parser.first_header
@@ -179,15 +177,16 @@ class PisaCore(DataplaneCore):
     def process(self, packet, hooks, meter=None) -> PipelineOutcome:
         device = self.device
         plan = self.plan()
-        hooks.front_parse(device.parser, packet)
-        stats = device.pipeline.stats
-        stats.packets += 1
-        run_flow(plan.ingress, packet, device, hooks, stats)
-        if packet.metadata.get("drop"):
-            return PipelineOutcome((), DropReason.INGRESS_ACTION)
-        run_flow(plan.egress, packet, device, hooks, stats)
-        if packet.metadata.get("drop"):
-            return PipelineOutcome((), DropReason.EGRESS_ACTION)
+        hooks.front_parse(plan.parser, packet)
+        metadata = packet.metadata
+        for side, reason in (
+            (plan.ingress, DropReason.INGRESS_ACTION),
+            (plan.egress, DropReason.EGRESS_ACTION),
+        ):
+            for stage_plan in side:
+                run_tsp_plan(stage_plan, packet, device, hooks, meter)
+                if metadata.get("drop"):
+                    return PipelineOutcome((), reason)
         return PipelineOutcome((packet,))
 
     def serialize(self, packet, hooks) -> bytes:

@@ -1,18 +1,18 @@
 """The single dataplane execution loop.
 
-Exactly one copy of the stage-loop semantics exists here; what used to
-be the plain/traced/profiled triplets in ``ipsa/tsp.py`` and
-``pisa/pipeline.py`` is now a hook parameter (:mod:`repro.dp.hooks`).
-The loops run over *compiled plans* (:mod:`repro.dp.plan`): every
-table, action, and predicate reference was resolved when the template
-committed, so the per-packet cost is the semantics and nothing else.
+Exactly one copy of the stage-loop semantics exists here, for both
+architectures: :func:`run_tsp_plan` runs an IPSA TSP and a PISA
+physical stage alike, and instrumentation is a hook parameter
+(:mod:`repro.dp.hooks`).  The loops run over *compiled plans*
+(:mod:`repro.dp.plan`): every table, action, and predicate reference
+was resolved when the template committed (or the design loaded), so
+the per-packet cost is the semantics and nothing else.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.dp.plan import ApplyStep
 from repro.obs.trace import DropReason
 
 
@@ -77,9 +77,11 @@ def run_tsp_plan(plan, packet, device, hooks, meter=None) -> None:
                 stats.lookups += 1
                 if meter is not None:
                     meter.lookup(plan.index, arm.table_name)
-                pair = stage.tag_actions.get(result.tag)
+                key = getattr(result, stage.dispatch)
+                pair = stage.tag_actions.get(key)
                 if pair is None:
-                    pair = stage.default_pair
+                    # A by-name stage has no default: the name is unknown.
+                    pair = stage.default_pair or (key, None)
                 name, action = pair
                 if action is None:
                     action = device.actions[name]
@@ -122,38 +124,3 @@ def run_ipsa_pipeline(plan, packet, device, hooks, meter=None) -> PipelineOutcom
             outputs.append(queued)
     reason = DropReason.EGRESS_ACTION if copy_drops and not outputs else None
     return PipelineOutcome(tuple(outputs), reason, tuple(copy_drops))
-
-
-def run_flow(steps, packet, device, hooks, stats) -> None:
-    """Run one compiled PISA control flow (ingress or egress)."""
-    metadata = packet.metadata
-    for step in steps:
-        if metadata.get("drop"):
-            return
-        if step.__class__ is ApplyStep:
-            ctx = hooks.apply_begin(step)
-            try:
-                table = step.table
-                if table is None:
-                    table = device.pipeline.tables[step.table_name]
-                result = hooks.pisa_match(step, table, packet)
-                stats.lookups += 1
-                action = step.actions.get(result.action)
-                if action is None:
-                    raise KeyError(
-                        f"table {step.table_name!r} selected unknown action "
-                        f"{result.action!r}"
-                    )
-                hooks.pisa_execute(
-                    step, result.action, action, packet, result, device
-                )
-                stats.actions_run += 1
-            finally:
-                hooks.apply_end(ctx, step)
-        else:
-            branch = (
-                step.then_steps
-                if step.predicate(packet)
-                else step.else_steps
-            )
-            run_flow(branch, packet, device, hooks, stats)

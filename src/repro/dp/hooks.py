@@ -32,10 +32,11 @@ class ExecHooks:
 
     __slots__ = ()
 
-    # -- IPSA TSP loop -------------------------------------------------
+    # -- the stage loop (IPSA TSPs, PISA physical stages) -------------
 
     def unit_begin(self, plan):
-        """Called entering one TSP's hosted stages; returns a context."""
+        """Called entering one TSP's (or PISA stage's) hosted stages;
+        returns a context."""
         return None
 
     def unit_end(self, ctx, plan) -> None:
@@ -49,7 +50,8 @@ class ExecHooks:
         entirely when every requested header is already available (the
         call would return 0 -- the precheck only removes overhead).
         Instrumented subclasses always make the call so the parse
-        span/phase exists for every stage, as it always has.
+        span/phase exists for every IPSA stage, as it always has; a
+        PISA stage's parse list is empty (its front parser ran).
         """
         by_name = packet._by_name
         for name in stage.parse_list:
@@ -72,22 +74,7 @@ class ExecHooks:
             packet, result.action_data, entry=result.entry, device=device
         )
 
-    # -- PISA flow -----------------------------------------------------
-
-    def apply_begin(self, step):
-        """Called entering one PISA table application (stage span)."""
-        return None
-
-    def apply_end(self, ctx, step) -> None:
-        """Called leaving the table application (always)."""
-
-    def pisa_match(self, step, table, packet):
-        return table.lookup(packet)
-
-    def pisa_execute(self, step, name, action, packet, result, device) -> None:
-        action.execute(
-            packet, result.action_data, entry=result.entry, device=device
-        )
+    # -- PISA front end / back end ------------------------------------
 
     def front_parse(self, parser, packet) -> int:
         """PISA's full-stack front-end parse."""
@@ -119,6 +106,8 @@ class ProfileHooks(ExecHooks):
         self.profiler = profiler
 
     def parse(self, plan, stage, packet, device) -> int:
+        if plan.kind == "stage":
+            return 0  # PISA: the front parser already extracted it all
         prof = self.profiler
         started = prof.now()
         parsed = packet.ensure_parsed(
@@ -142,26 +131,6 @@ class ProfileHooks(ExecHooks):
             packet, result.action_data, entry=result.entry, device=device
         )
         prof.add((plan.label, "execute", name), started, ops=len(action.ops))
-
-    def pisa_match(self, step, table, packet):
-        prof = self.profiler
-        started = prof.now()
-        result = table.lookup(packet)
-        prof.add(
-            (step.table_name, "match", step.table_name), started, lookups=1
-        )
-        prof.note_engine(table.engine_kind)
-        return result
-
-    def pisa_execute(self, step, name, action, packet, result, device) -> None:
-        prof = self.profiler
-        started = prof.now()
-        action.execute(
-            packet, result.action_data, entry=result.entry, device=device
-        )
-        prof.add(
-            (step.table_name, "execute", name), started, ops=len(action.ops)
-        )
 
     def front_parse(self, parser, packet) -> int:
         prof = self.profiler
@@ -212,13 +181,15 @@ class TraceHooks(ExecHooks):
 
     def unit_begin(self, plan):
         return self.tracer.start_span(
-            plan.label, kind="tsp", tsp=plan.index, side=plan.side
+            plan.label, kind=plan.kind, tsp=plan.index, side=plan.side
         )
 
     def unit_end(self, ctx, plan) -> None:
         self.tracer.end_span(ctx)
 
     def parse(self, plan, stage, packet, device) -> int:
+        if plan.kind == "stage":
+            return 0  # PISA: the front parser already extracted it all
         tracer = self.tracer
         span = tracer.start_span(
             "parse",
@@ -265,33 +236,6 @@ class TraceHooks(ExecHooks):
             stage=stage.name,
             action=name,
             ops=len(action.ops),
-        )
-        action.execute(
-            packet, result.action_data, entry=result.entry, device=device
-        )
-        tracer.end_span(span)
-
-    def apply_begin(self, step):
-        return self.tracer.start_span(
-            step.table_name, kind="stage", table=step.table_name
-        )
-
-    def apply_end(self, ctx, step) -> None:
-        self.tracer.end_span(ctx)
-
-    def pisa_match(self, step, table, packet):
-        tracer = self.tracer
-        span = tracer.start_span("match", kind="match", table=step.table_name)
-        result = table.lookup(packet)
-        span.attrs["hit"] = result.hit
-        span.attrs["tag"] = result.tag
-        tracer.end_span(span)
-        return result
-
-    def pisa_execute(self, step, name, action, packet, result, device) -> None:
-        tracer = self.tracer
-        span = tracer.start_span(
-            "execute", kind="execute", action=name, ops=len(action.ops)
         )
         action.execute(
             packet, result.action_data, entry=result.entry, device=device

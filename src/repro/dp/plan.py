@@ -11,6 +11,14 @@ template commits (or a PISA design loads) instead of once per packet:
 * parser clauses   -> a precomputed parse list
 * selector state   -> the ingress/egress TSP schedules themselves
 
+Both architectures compile to the same :class:`DevicePlan` of
+:class:`TspPlan` units.  PISA is a plan *shape*, not a second
+dataplane: its units are the physical stages rp4fc's stages were
+packed into, its stages parse nothing (the plan's front parser
+extracted every header before stage 0), entries dispatch by action
+name instead of executor tag, there is no TM between ingress and
+egress, and a deparser serializes.
+
 The compiled artifacts live in :class:`repro.dp.core.DataplaneCore`'s
 plan cache and are invalidated -- cache-coherence style -- by exactly
 the runtime events that can change them: template writes, selector
@@ -20,9 +28,6 @@ reconfiguration, table create/free/repoint, and full (re)loads.
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
-
-from repro.compiler.lowering import compile_predicate
-from repro.lang.expr import SApply, SIf
 
 
 class CompiledArm:
@@ -45,53 +50,81 @@ class CompiledArm:
 
 
 class StagePlan:
-    """One hosted stage: parse set, arms, tag->action executor map."""
+    """One hosted stage: parse set, arms, dispatch key -> action map."""
 
-    __slots__ = ("name", "parse_list", "arms", "tag_actions", "default_pair")
+    __slots__ = (
+        "name", "parse_list", "arms", "tag_actions", "default_pair", "dispatch"
+    )
 
-    def __init__(self, name, parse_list, arms, tag_actions, default_pair):
+    def __init__(self, name, parse_list, arms, tag_actions, default_pair,
+                 dispatch="tag"):
         self.name = name
         self.parse_list: List[str] = parse_list
         self.arms: Tuple[CompiledArm, ...] = arms
-        #: executor tag -> (action name, ActionDef or None)
+        #: dispatch key -> (action name, ActionDef or None)
         self.tag_actions: Dict[object, tuple] = tag_actions
-        self.default_pair: tuple = default_pair
+        #: The pair a key missing from ``tag_actions`` runs; ``None`` on
+        #: a by-name stage, where a missing name is an unknown action.
+        self.default_pair: Optional[tuple] = default_pair
+        #: The lookup result's field that keys ``tag_actions``: the
+        #: executor ``"tag"`` (IPSA) or the entry's ``"action"`` name
+        #: (PISA; a miss carries the table's default action name).
+        self.dispatch: str = dispatch
 
 
 class TspPlan:
-    """One TSP's compiled stages plus its live stats sink."""
+    """One TSP's (or PISA physical stage's) compiled stages plus its
+    live stats sink.  ``kind`` is ``"tsp"`` or ``"stage"`` (PISA: no
+    per-stage parser, the front parser already ran)."""
 
-    __slots__ = ("index", "side", "label", "stats", "stages")
+    __slots__ = ("index", "side", "label", "kind", "stats", "stages")
 
-    def __init__(self, index, side, label, stats, stages):
+    def __init__(self, index, side, label, stats, stages, kind="tsp"):
         self.index = index
         self.side = side
         self.label = label
+        self.kind = kind
         self.stats = stats
         self.stages: Tuple[StagePlan, ...] = stages
 
 
-class IpsaPlan:
-    """The whole device schedule: ingress TSPs, then TM, then egress."""
+class DevicePlan:
+    """The whole device schedule: ingress units, then egress units.
 
-    __slots__ = ("ingress", "egress")
+    ``parser`` is PISA's front parser (``None``: stages parse on
+    demand), ``tm`` the traffic manager between the sides (``None``:
+    PISA has none) and ``deparser`` PISA's egress serializer."""
 
-    def __init__(self, ingress, egress):
+    __slots__ = ("ingress", "egress", "parser", "tm", "deparser")
+
+    def __init__(self, ingress, egress, parser=None, tm=None, deparser=None):
         self.ingress: Tuple[TspPlan, ...] = ingress
         self.egress: Tuple[TspPlan, ...] = egress
+        self.parser = parser
+        self.tm = tm
+        self.deparser = deparser
 
 
 def _resolve_pair(name: str, actions: dict) -> tuple:
     return (name, actions.get(name))
 
 
-def compile_stage(stage, device) -> StagePlan:
-    """A :class:`~repro.ipsa.tsp.StageRuntime` -> executable plan."""
+def compile_stage(stage, device, dispatch: str = "tag") -> StagePlan:
+    """A :class:`~repro.ipsa.tsp.StageRuntime` -> executable plan.
+
+    ``dispatch="action"`` compiles PISA's shape: no parse list, and
+    every device action keyed by its own name."""
     arms = []
     for index, (predicate, expr, table_name) in enumerate(stage.arms):
         table = None if table_name is None else device.tables.get(table_name)
         arms.append(CompiledArm(index, predicate, table_name, table, expr))
     actions = device.actions
+    if dispatch == "action":
+        return StagePlan(
+            stage.name, [], tuple(arms),
+            {name: (name, action) for name, action in actions.items()},
+            None, dispatch,
+        )
     tag_actions = {
         tag: _resolve_pair(name, actions)
         for tag, name in stage.executor.items()
@@ -106,82 +139,44 @@ def compile_stage(stage, device) -> StagePlan:
     )
 
 
-def compile_tsp(tsp, device) -> TspPlan:
+def compile_tsp(tsp, device, kind: str = "tsp", dispatch: str = "tag"):
     return TspPlan(
         index=tsp.index,
         side=tsp.side,
-        label=f"tsp{tsp.index}",
+        label=f"{kind}{tsp.index}",
         stats=tsp.stats,
-        stages=tuple(compile_stage(stage, device) for stage in tsp.stages),
+        stages=tuple(
+            compile_stage(stage, device, dispatch) for stage in tsp.stages
+        ),
+        kind=kind,
     )
 
 
-def compile_ipsa_plan(device) -> IpsaPlan:
+def compile_ipsa_plan(device) -> DevicePlan:
     """Compile the selector's current TSP schedule for an IpsaSwitch."""
     pipeline = device.pipeline
-    return IpsaPlan(
+    return DevicePlan(
         ingress=tuple(compile_tsp(t, device) for t in pipeline.ingress_tsps()),
         egress=tuple(compile_tsp(t, device) for t in pipeline.egress_tsps()),
+        tm=pipeline.tm,
     )
 
 
-# -- PISA ----------------------------------------------------------------
+def compile_fixed_plan(device) -> DevicePlan:
+    """Compile a PisaSwitch's placed stages: PISA's plan shape."""
+    stages = device.pipeline.stages
 
+    def side(name):
+        return tuple(
+            compile_tsp(s, device, "stage", "action")
+            for s in stages
+            if s.side == name
+        )
 
-class ApplyStep:
-    """One compiled ``apply(table)``: resolved table + actions dict."""
-
-    __slots__ = ("table_name", "table", "actions")
-
-    def __init__(self, table_name, table, actions):
-        self.table_name = table_name
-        self.table = table
-        self.actions = actions
-
-
-class IfStep:
-    """One compiled conditional: closure predicate + compiled branches."""
-
-    __slots__ = ("predicate", "cond", "then_steps", "else_steps")
-
-    def __init__(self, predicate, then_steps, else_steps, cond=None):
-        self.predicate = predicate
-        #: Source condition Expr, kept for the columnar compiler.
-        self.cond = cond
-        self.then_steps = then_steps
-        self.else_steps = else_steps
-
-
-class PisaPlan:
-    """Compiled ingress/egress control flows."""
-
-    __slots__ = ("ingress", "egress")
-
-    def __init__(self, ingress, egress):
-        self.ingress: Tuple[object, ...] = ingress
-        self.egress: Tuple[object, ...] = egress
-
-
-def compile_flow(flow, tables, actions) -> tuple:
-    """HLIR flow statements -> a tuple of executable steps."""
-    steps = []
-    for stmt in flow:
-        if isinstance(stmt, SApply):
-            steps.append(
-                ApplyStep(stmt.table, tables.get(stmt.table), actions)
-            )
-        elif isinstance(stmt, SIf):
-            steps.append(
-                IfStep(
-                    compile_predicate(stmt.cond),
-                    compile_flow(stmt.then_body, tables, actions),
-                    compile_flow(stmt.else_body, tables, actions),
-                    cond=stmt.cond,
-                )
-            )
-        else:
-            raise TypeError(f"unsupported flow statement {stmt!r}")
-    return tuple(steps)
+    return DevicePlan(
+        side("ingress"), side("egress"),
+        parser=device.parser, deparser=device.deparser,
+    )
 
 
 # -- identity ------------------------------------------------------------
@@ -195,26 +190,12 @@ def describe_plan(plan) -> tuple:
     same stages against the same live objects -- which is what the
     transaction abort tests assert ("compiled plans unchanged").
     """
-    if isinstance(plan, IpsaPlan):
-        return (
-            "ipsa",
-            tuple(_describe_tsp(t) for t in plan.ingress),
-            tuple(_describe_tsp(t) for t in plan.egress),
-        )
-    if isinstance(plan, PisaPlan):
-        return (
-            "pisa",
-            _describe_flow(plan.ingress),
-            _describe_flow(plan.egress),
-        )
-    raise TypeError(f"not a compiled plan: {plan!r}")
-
-
-def plan_fingerprint(plan) -> str:
-    """A stable hex digest of :func:`describe_plan`."""
-    import hashlib
-
-    return hashlib.sha1(repr(describe_plan(plan)).encode()).hexdigest()
+    if not isinstance(plan, DevicePlan):
+        raise TypeError(f"not a compiled plan: {plan!r}")
+    return (
+        tuple(_describe_tsp(t) for t in plan.ingress),
+        tuple(_describe_tsp(t) for t in plan.egress),
+    )
 
 
 def _describe_tsp(tsp: TspPlan) -> tuple:
@@ -235,39 +216,10 @@ def _describe_tsp(tsp: TspPlan) -> tuple:
                         stage.tag_actions.items(), key=lambda kv: str(kv[0])
                     )
                 ),
-                (stage.default_pair[0], id(stage.default_pair[1])),
+                stage.default_pair and (
+                    stage.default_pair[0], id(stage.default_pair[1])
+                ),
             )
             for stage in tsp.stages
-        ),
-    )
-
-
-def _describe_flow(steps) -> tuple:
-    out = []
-    for step in steps:
-        if isinstance(step, ApplyStep):
-            out.append(("apply", step.table_name, id(step.table)))
-        elif isinstance(step, IfStep):
-            out.append(
-                (
-                    "if",
-                    _describe_flow(step.then_steps),
-                    _describe_flow(step.else_steps),
-                )
-            )
-        else:
-            out.append(("?", repr(step)))
-    return tuple(out)
-
-
-def compile_pisa_plan(device) -> PisaPlan:
-    pipeline = device.pipeline
-    hlir = pipeline.hlir
-    return PisaPlan(
-        ingress=compile_flow(
-            hlir.ingress_flow, pipeline.tables, pipeline.actions
-        ),
-        egress=compile_flow(
-            hlir.egress_flow, pipeline.tables, pipeline.actions
         ),
     )

@@ -13,8 +13,6 @@ from typing import List, Optional, Set
 
 from repro.ipsa.tm import TrafficManager
 from repro.ipsa.tsp import Tsp, TspState
-from repro.net.packet import Packet
-from repro.obs.trace import DropReason
 
 
 class PipelineError(Exception):
@@ -103,41 +101,6 @@ class ElasticPipeline:
 
     def active_tsps(self) -> List[Tsp]:
         return [t for t in self.tsps if t.active]
-
-    def process_multi(self, packet: Packet, device, meter=None) -> List[Packet]:
-        """Run one packet through ingress, the TM (with multicast
-        replication), and egress.  Returns every surviving copy.
-
-        Compatibility wrapper over the unified execution core
-        (:mod:`repro.dp`); drop accounting matches the old in-pipeline
-        behavior.  The switch front door calls the core directly.
-        """
-        from repro.dp.hooks import resolve_hooks
-
-        core = device.dp
-        tracer = getattr(device, "tracer", None)
-        if tracer is not None and tracer.current is None:
-            tracer = None
-        outcome = core.process(packet, resolve_hooks(device), meter)
-        for reason in outcome.copy_drops:
-            self._note_drop(device, tracer, reason)
-        if not outcome.outputs and not outcome.copy_drops:
-            if outcome.drop_reason is not None:
-                self._note_drop(device, tracer, outcome.drop_reason)
-        return list(outcome.outputs)
-
-    @staticmethod
-    def _note_drop(device, tracer, reason: DropReason) -> None:
-        note = getattr(device, "note_drop", None)
-        if note is not None:
-            note(reason)
-        if tracer is not None:
-            tracer.note_drop(reason)
-
-    def process(self, packet: Packet, device, meter=None) -> Optional[Packet]:
-        """Unicast view of :meth:`process_multi` (first surviving copy)."""
-        outputs = self.process_multi(packet, device, meter)
-        return outputs[0] if outputs else None
 
     def write_templates(self, templates: List[dict]) -> int:
         """Download templates into their TSPs; returns words written."""

@@ -1,29 +1,30 @@
-"""The fixed PISA match-action pipeline.
+"""The fixed PISA stage layout: placement, and nothing else.
 
 Placement packs the program's tables into the fixed number of
-physical stages (the PISA back-end compiler's job).  Unlike IPSA
-there is no elastic boundary: ingress and egress stage budgets are
-silicon properties, and a design that needs more stages than the chip
-has simply fails to fit (one of the two drawbacks Sec. 2.3 lists).
+physical stages (the PISA back-end compiler's job): rp4fc lowers the
+P4 control flow into one rP4 stage per ``apply`` site, and
+``plan_merge(MergeMode.FULL)`` packs those stages into physical
+stages.  Unlike IPSA there is no elastic boundary: ingress and egress
+stage budgets are silicon properties, and a design that needs more
+stages than the chip has simply fails to fit (one of the two drawbacks
+Sec. 2.3 lists).
 
-Execution lives in :mod:`repro.dp`: the device compiles the HLIR
-control flows into a plan of apply/branch steps with pre-resolved
-table and action references, and :func:`repro.dp.exec.run_flow`
-interprets it plain, traced, or profiled.
+Execution lives in :mod:`repro.dp`: each physical stage compiles to
+one :class:`~repro.dp.plan.TspPlan` that the shared stage executor
+(:func:`repro.dp.exec.run_tsp_plan`) runs, with PISA's shape -- front
+parse, no TM, deparser, by-name dispatch -- carried as plan data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.compiler.dependency import analyze_dependencies
 from repro.compiler.merge import MergeMode, plan_merge
 from repro.compiler.rp4fc import rp4fc
-from repro.net.packet import Packet
+from repro.ipsa.tsp import StageRuntime, TspStats
 from repro.p4.hlir import Hlir
-from repro.tables.actions import ActionDef
-from repro.tables.table import Table
 
 
 class FitError(Exception):
@@ -32,88 +33,61 @@ class FitError(Exception):
 
 @dataclass
 class PisaStage:
-    """One physical stage and the tables packed into it."""
+    """One physical stage: the rp4fc stages (and tables) packed into it."""
 
     index: int
     side: str
     tables: List[str] = field(default_factory=list)
+    stages: List[StageRuntime] = field(default_factory=list)
+    stats: TspStats = field(default_factory=TspStats)
 
 
-@dataclass
-class PipelineStats:
-    packets: int = 0
-    lookups: int = 0
-    actions_run: int = 0
-
-    def account_batch(
-        self, packets: int = 0, lookups: int = 0, actions_run: int = 0
-    ) -> None:
-        """Bulk counter update for the columnar batch path."""
-        self.packets += packets
-        self.lookups += lookups
-        self.actions_run += actions_run
+def place_stages(hlir: Hlir, n_stages: Optional[int] = None) -> List[PisaStage]:
+    """Pack the design's rp4fc stages into physical stages via the same
+    dependency machinery the rP4 flow uses (a stand-in for the
+    proprietary PISA back-end compiler)."""
+    program = rp4fc(hlir).program
+    ingress = list(program.ingress_stages)
+    egress = list(program.egress_stages)
+    deps = analyze_dependencies(program, ingress + egress)
+    plan = plan_merge(ingress, egress, deps, mode=MergeMode.FULL)
+    if n_stages is not None and plan.tsp_count > n_stages:
+        raise FitError(
+            f"design needs {plan.tsp_count} stages but the chip has "
+            f"{n_stages} (PISA cannot elastically rebalance)"
+        )
+    decls = program.all_stages()
+    return [
+        PisaStage(
+            index=index,
+            side=side,
+            tables=[decls[name].matcher[0].table for name in group],
+            stages=[StageRuntime.from_decl(decls[name]) for name in group],
+        )
+        for index, (side, group) in enumerate(plan.all_groups())
+    ]
 
 
 class FixedPipeline:
-    """Interprets the ingress/egress flows against packed stages."""
+    """A placed design's physical stages and their counters."""
 
-    def __init__(
-        self,
-        hlir: Hlir,
-        tables: Dict[str, Table],
-        actions: Dict[str, ActionDef],
-        n_stages: Optional[int] = None,
-    ) -> None:
+    def __init__(self, hlir: Hlir, n_stages: Optional[int] = None) -> None:
         self.hlir = hlir
-        self.tables = tables
-        self.actions = actions
-        self.stats = PipelineStats()
-        self.stages = self._place(n_stages)
-        #: Set by the owning switch so stateful externs can resolve.
-        self.device = None
+        self.stages = place_stages(hlir, n_stages)
 
-    # -- placement --------------------------------------------------------
-
-    def _place(self, n_stages: Optional[int]) -> List[PisaStage]:
-        """Pack tables into physical stages via the same dependency
-        machinery the rP4 flow uses (a stand-in for the proprietary
-        PISA back-end compiler)."""
-        program = rp4fc(self.hlir).program
-        ingress = list(program.ingress_stages)
-        egress = list(program.egress_stages)
-        deps = analyze_dependencies(program, ingress + egress)
-        plan = plan_merge(ingress, egress, deps, mode=MergeMode.FULL)
-        if n_stages is not None and plan.tsp_count > n_stages:
-            raise FitError(
-                f"design needs {plan.tsp_count} stages but the chip has "
-                f"{n_stages} (PISA cannot elastically rebalance)"
+    @property
+    def stats(self) -> TspStats:
+        """Whole-pipeline counters: every packet enters stage 0, and
+        lookups and actions sum over the stages."""
+        stages = self.stages
+        total = TspStats(packets=stages[0].stats.packets if stages else 0)
+        for stage in stages:
+            total.account_batch(
+                lookups=stage.stats.lookups, actions_run=stage.stats.actions_run
             )
-        stages = []
-        for index, (side, group) in enumerate(plan.all_groups()):
-            stages.append(PisaStage(index=index, side=side, tables=group))
-        return stages
+        return total
 
     def stage_count(self, side: Optional[str] = None) -> int:
         if side is None:
             return len(self.stages)
         return sum(1 for s in self.stages if s.side == side)
-
-    # -- execution -----------------------------------------------------------
-
-    def run_ingress(self, packet: Packet) -> None:
-        """Compatibility wrapper over :mod:`repro.dp` (ingress flow)."""
-        self.stats.packets += 1
-        self._run_side("ingress", packet)
-
-    def run_egress(self, packet: Packet) -> None:
-        """Compatibility wrapper over :mod:`repro.dp` (egress flow)."""
-        self._run_side("egress", packet)
-
-    def _run_side(self, side: str, packet: Packet) -> None:
-        from repro.dp.exec import run_flow
-        from repro.dp.hooks import resolve_hooks
-
-        device = self.device
-        plan = device.dp.plan()
-        steps = plan.ingress if side == "ingress" else plan.egress
-        run_flow(steps, packet, device, resolve_hooks(device), self.stats)

@@ -27,9 +27,46 @@ from repro.p4.parser import parse_p4
 from repro.pisa.deparser import Deparser
 from repro.pisa.parser import FrontEndParser
 from repro.pisa.pipeline import FixedPipeline
+from repro.tables.actions import ActionDef
 from repro.tables.meters import MeterBank
 from repro.tables.registers import ExternStore
 from repro.tables.table import Table, TableEntry
+
+
+@dataclass
+class PisaDesign:
+    """Everything one P4 program configures on a PISA chip."""
+
+    parser: FrontEndParser
+    actions: Dict[str, ActionDef]
+    tables: Dict[str, Table]
+    metadata_defaults: Dict[str, int]
+    pipeline: FixedPipeline
+
+
+def build_design(
+    program: Union[str, Hlir], n_stages: Optional[int] = None
+) -> PisaDesign:
+    """Parse (if source), lower and place one P4 program, touching no
+    device: :meth:`PisaSwitch.load` and a transactional reload's shadow
+    build both start here."""
+    hlir = build_hlir(parse_p4(program)) if isinstance(program, str) else program
+    actions = builtin_actions()
+    for name, action in hlir.actions.items():
+        actions[name] = lower_action(action)
+    return PisaDesign(
+        parser=FrontEndParser(hlir),
+        actions=actions,
+        tables={
+            name: lower_table(
+                name, list(table.keys), table.size,
+                default_action=table.default_action,
+            )
+            for name, table in hlir.tables.items()
+        },
+        metadata_defaults={name: 0 for name, _ in hlir.metadata},
+        pipeline=FixedPipeline(hlir, n_stages),
+    )
 
 
 @dataclass
@@ -74,7 +111,7 @@ class PisaSwitch:
         self._packet_bytes = self.metrics.histogram(
             "device.packet_bytes", PACKET_BYTES_BOUNDS
         )
-        # The shared dataplane execution core (compiled flow plans),
+        # The shared dataplane execution core (compiled stage plans),
         # invalidated on every full (re)load.
         self.dp = PisaCore(self)
         self.dp.register_metrics(self.metrics)
@@ -157,26 +194,21 @@ class PisaSwitch:
     # -- configuration ----------------------------------------------------
 
     def load(self, program: Union[str, Hlir]) -> None:
-        """Full (re)load from P4 source or HLIR. Drops every table."""
-        hlir = build_hlir(parse_p4(program)) if isinstance(program, str) else program
-        self.parser = FrontEndParser(hlir)
-        self.actions = builtin_actions()
-        for name, action in hlir.actions.items():
-            self.actions[name] = lower_action(action)
-        self.tables = {}
-        for name, table in hlir.tables.items():
-            self.tables[name] = lower_table(
-                name,
-                list(table.keys),
-                table.size,
-                default_action=table.default_action,
-            )
-        self.metadata_defaults = {name: 0 for name, _ in hlir.metadata}
-        self.pipeline = FixedPipeline(
-            hlir, self.tables, self.actions, n_stages=self.n_stages
-        )
-        self.pipeline.device = self
+        """Full (re)load from P4 source or HLIR. Drops every table.
+
+        The design is built whole before anything is swapped in, so a
+        program that fails to parse, translate or fit leaves the old
+        design serving."""
+        self.install(build_design(program, self.n_stages))
         self.dp.invalidate("load")
+
+    def install(self, design: PisaDesign) -> None:
+        """Point the switch at a built design (a load, a reload commit)."""
+        self.parser = design.parser
+        self.actions = design.actions
+        self.tables = design.tables
+        self.metadata_defaults = design.metadata_defaults
+        self.pipeline = design.pipeline
 
     def begin_reload(
         self,
@@ -234,12 +266,10 @@ class PisaSwitch:
     def set_table(self, name: str, table: Table) -> None:
         """Repoint a table name at a different :class:`Table` object.
 
-        The compiled flow plan holds direct table references, so a
+        The compiled stage plan holds direct table references, so a
         repoint must invalidate it (counted under ``table_repoint``).
         """
         self.tables[name] = table
-        if self.pipeline is not None:
-            self.pipeline.tables[name] = table
         self.dp.invalidate("table_repoint")
 
     def table(self, name: str) -> Table:

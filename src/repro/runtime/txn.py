@@ -491,46 +491,17 @@ class PisaReloadTransaction(_DeviceTransaction):
         self._stats = None
 
     def _build_shadow(self) -> None:
-        from repro.compiler.lowering import (
-            builtin_actions,
-            lower_action,
-            lower_table,
-        )
-        from repro.p4.hlir import build_hlir
-        from repro.p4.parser import parse_p4
-        from repro.pisa.parser import FrontEndParser
-        from repro.pisa.pipeline import FixedPipeline
-        from repro.pisa.switch import ReloadStats
+        from repro.pisa.switch import ReloadStats, build_design
         from repro.tables.table import TableEntry
 
         switch = self.switch
         stats = ReloadStats()
-        hlir = (
-            build_hlir(parse_p4(self.program))
-            if isinstance(self.program, str)
-            else self.program
-        )
-        parser = FrontEndParser(hlir)
-        actions = builtin_actions()
-        for name, action in hlir.actions.items():
-            actions[name] = lower_action(action)
-        tables = {}
-        for name, table in hlir.tables.items():
-            tables[name] = lower_table(
-                name,
-                list(table.keys),
-                table.size,
-                default_action=table.default_action,
-            )
-        metadata = {name: 0 for name, _ in hlir.metadata}
-        pipeline = FixedPipeline(
-            hlir, tables, actions, n_stages=switch.n_stages
-        )
+        design = build_design(self.program, switch.n_stages)
 
         # Repopulate the controller's shadow entry copies into the
         # *staged* tables -- still zero live mutation.
         for table_name, rows in self.entries.items():
-            table = tables.get(table_name)
+            table = design.tables.get(table_name)
             if table is None:
                 continue
             for entry in rows:
@@ -546,36 +517,25 @@ class PisaReloadTransaction(_DeviceTransaction):
                 stats.entries_repopulated += 1
             stats.tables_repopulated += 1
 
-        view = SimpleNamespace(
-            pipeline=pipeline,
-            parser=parser,
-            tables=tables,
-            actions=actions,
-            metadata_defaults=metadata,
-        )
+        view = SimpleNamespace(**vars(design), deparser=switch.deparser)
         self._shadow_plan = switch.dp.compile_shadow(view)
-        self._hlir = hlir
-        self._parser = parser
-        self._actions = actions
-        self._tables = tables
-        self._metadata = metadata
-        self._pipeline = pipeline
+        self._design = design
         self._stats = stats
 
     def _prepare_attrs(self) -> Dict[str, object]:
         stats = self._stats
         return {
-            "tables": len(self._tables),
+            "tables": len(self._design.tables),
             "entries_repopulated": stats.entries_repopulated,
         }
 
     def _check_shadow(self) -> None:
         for table_name, rows in self.entries.items():
-            table = self._tables.get(table_name)
+            table = self._design.tables.get(table_name)
             if table is None:
                 continue  # PISA tolerates stale shadow-copy tables
             for entry in rows:
-                if entry.action not in self._actions:
+                if entry.action not in self._design.actions:
                     self.findings.append(
                         f"table {table_name!r} entry references unknown "
                         f"action {entry.action!r}"
@@ -585,12 +545,7 @@ class PisaReloadTransaction(_DeviceTransaction):
         switch = self.switch
         stats = self._stats
         self._mark_phase("serve")
-        switch.parser = self._parser
-        switch.actions = self._actions
-        switch.tables = self._tables
-        switch.metadata_defaults = self._metadata
-        switch.pipeline = self._pipeline
-        switch.pipeline.device = switch
+        switch.install(self._design)
         switch.dp.flip(self._shadow_plan, "reload")
         flip = self._mark_phase(
             "flip",
@@ -606,7 +561,4 @@ class PisaReloadTransaction(_DeviceTransaction):
 
     def _drop_shadow(self) -> None:
         self._shadow_plan = None
-        for name in ("_hlir", "_parser", "_actions", "_tables", "_metadata",
-                     "_pipeline"):
-            if hasattr(self, name):
-                delattr(self, name)
+        self._design = None

@@ -13,26 +13,13 @@ from repro.workloads.builders import (
     l2_packet,
     srv6_packet,
 )
-try:
-    from repro.workloads.traces import (
-        ecmp_trace,
-        mixed_l3_trace,
-        probe_trace,
-        srv6_trace,
-        use_case_trace,
-    )
-except ImportError:  # pragma: no cover - exercised on no-NumPy CI legs
-    # Flow populations are drawn from numpy's Zipf sampler, so the
-    # trace generators need it; the packet builders (and the scalar
-    # dataplane they feed) must keep working without it.
-    def _needs_numpy(*_args, **_kwargs):
-        raise ImportError(
-            "repro.workloads trace generators require numpy (Zipf flow "
-            "sampling); the packet builders work without it"
-        )
-
-    ecmp_trace = mixed_l3_trace = _needs_numpy
-    probe_trace = srv6_trace = use_case_trace = _needs_numpy
+from repro.workloads.traces import (
+    ecmp_trace,
+    mixed_l3_trace,
+    probe_trace,
+    srv6_trace,
+    use_case_trace,
+)
 
 
 def replay(switch, trace, meter=None):

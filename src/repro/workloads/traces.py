@@ -2,14 +2,21 @@
 
 Every generator returns a list of ``(packet_bytes, ingress_port)``
 pairs ready for ``switch.inject``.  Flow populations follow a Zipf
-distribution (via numpy) to resemble real traffic skew.
+distribution (numpy's sampler) to resemble real traffic skew.  Without
+numpy the same draws come from :mod:`random`: the same shapes, other
+streams, so the scalar dataplane stays testable on a numpy-less box.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from typing import List, Tuple
 
-import numpy as np
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised on no-NumPy CI legs
+    np = None
 
 from repro.net.addresses import format_ipv4, parse_ipv4
 from repro.programs.srv6 import LOCAL_SIDS
@@ -18,13 +25,36 @@ from repro.workloads.builders import ipv4_packet, ipv6_packet, srv6_packet
 Trace = List[Tuple[bytes, int]]
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
+class _PyRng:
+    """The ``numpy.random.Generator`` draws used below, from
+    :mod:`random` (``zipf``: Devroye's rejection method, as numpy's)."""
+
+    def __init__(self, seed: int) -> None:
+        self._random = random.Random(seed).random
+
+    def random(self, size: int) -> List[float]:
+        return [self._random() for _ in range(size)]
+
+    def integers(self, low: int, high: int, size: int) -> List[int]:
+        return [low + int(u * (high - low)) for u in self.random(size)]
+
+    def zipf(self, a: float, size: int) -> List[int]:
+        out: List[int] = []
+        b = 2.0 ** (a - 1.0)
+        while len(out) < size:
+            x = math.floor((1.0 - self._random()) ** (-1.0 / (a - 1.0)))
+            t = (1.0 + 1.0 / x) ** (a - 1.0)
+            if self._random() * x * (t - 1.0) / (b - 1.0) <= t / b:
+                out.append(x)
+        return out
 
 
-def _zipf_indices(rng: np.random.Generator, n: int, population: int, a: float) -> np.ndarray:
-    raw = rng.zipf(a, size=n)
-    return (raw - 1) % population
+def _rng(seed: int):
+    return _PyRng(seed) if np is None else np.random.default_rng(seed)
+
+
+def _zipf_indices(rng, n: int, population: int, a: float) -> List[int]:
+    return [(int(raw) - 1) % population for raw in rng.zipf(a, size=n)]
 
 
 def mixed_l3_trace(
@@ -40,14 +70,14 @@ def mixed_l3_trace(
         raise ValueError("v4_ratio must be within [0, 1]")
     rng = _rng(seed)
     flow_ids = _zipf_indices(rng, n_packets, flows, zipf_a)
-    v4_mask = rng.random(n_packets) < v4_ratio
+    v4_draws = rng.random(n_packets)
     base_v4 = parse_ipv4("10.2.0.0")
     trace: Trace = []
     for i in range(n_packets):
         flow = int(flow_ids[i])
         port = flow % 2  # hosts live on ports 0-1
         sport = 1024 + flow
-        if v4_mask[i]:
+        if v4_draws[i] < v4_ratio:
             dst = format_ipv4(base_v4 + 1 + flow)
             data = ipv4_packet("10.1.0.1", dst, sport=sport)
         else:
@@ -85,10 +115,10 @@ def srv6_trace(
     """SRv6 traffic: a mix of packets visiting this node's SID
     (endpoint / End behavior) and SR transit traffic."""
     rng = _rng(seed)
-    endpoint_mask = rng.random(n_packets) < endpoint_ratio
+    endpoint_draws = rng.random(n_packets)
     trace: Trace = []
     for i in range(n_packets):
-        if endpoint_mask[i]:
+        if endpoint_draws[i] < endpoint_ratio:
             # Active SID is ours; next segment routes to network 2.
             data = srv6_packet(
                 src="2001:db8:9::1",
@@ -116,10 +146,10 @@ def probe_trace(
     """IPv4 traffic where a fraction belongs to the probed flow
     (10.1.0.1 -> 10.2.0.1), the rest to unprobed flows."""
     rng = _rng(seed)
-    probed_mask = rng.random(n_packets) < probed_ratio
+    probed_draws = rng.random(n_packets)
     trace: Trace = []
     for i in range(n_packets):
-        if probed_mask[i]:
+        if probed_draws[i] < probed_ratio:
             data = ipv4_packet("10.1.0.1", "10.2.0.1", sport=5000)
         else:
             data = ipv4_packet("10.1.0.1", f"10.2.1.{(i % 250) + 1}", sport=6000 + (i % 100))

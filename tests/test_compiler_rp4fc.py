@@ -10,6 +10,42 @@ from repro.programs.p4_variants import srv6_p4_source
 from repro.rp4 import analyze, parse_rp4
 
 
+#: ``if (meta.x == 0) { t1; t2; } else { t3; }`` where t1's default
+#: sets ``meta.x = 1``.
+GUARD_REWRITE_P4 = """
+header ethernet_t { bit<48> dst_addr; bit<48> src_addr; bit<16> ethertype; }
+struct headers { ethernet_t ethernet; }
+struct metadata { bit<8> x; }
+parser P(packet_in pkt, out headers hdr) {
+    state start { pkt.extract(hdr.ethernet); transition accept; }
+}
+control MyIngress(inout headers hdr, inout metadata meta) {
+    action set_x() { meta.x = 1; }
+    action fwd1() { standard_metadata.egress_spec = 1; }
+    action fwd2() { standard_metadata.egress_spec = 2; }
+    table t1 {
+        key = { hdr.ethernet.ethertype: exact; }
+        actions = { set_x; }
+        default_action = set_x();
+    }
+    table t2 {
+        key = { hdr.ethernet.ethertype: exact; }
+        actions = { fwd1; }
+        default_action = fwd1();
+    }
+    table t3 {
+        key = { hdr.ethernet.ethertype: exact; }
+        actions = { fwd2; }
+        default_action = fwd2();
+    }
+    apply {
+        if (meta.x == 0) { t1.apply(); t2.apply(); } else { t3.apply(); }
+    }
+}
+control MyEgress(inout headers hdr, inout metadata meta) { apply { } }
+"""
+
+
 @pytest.fixture(scope="module")
 def result():
     return rp4fc(build_hlir(parse_p4(base_p4_source())))
@@ -120,3 +156,30 @@ class TestErrors:
         """
         with pytest.raises(Rp4fcError):
             rp4fc(build_hlir(parse_p4(src)))
+
+    def test_guard_rewritten_under_its_if_rejected(self):
+        """t1's default writes the field its ``if`` reads, and t2 is
+        applied after it under the same ``if``: P4 evaluates the ``if``
+        once (t1, t2 fire), but each rP4 stage would evaluate it again
+        (t2 skipped, t3 fired).  rp4fc refuses instead of translating."""
+        from repro.pisa.switch import PisaSwitch
+        from repro.programs.base_l2l3 import populate_base_tables
+        from repro.workloads import ipv4_packet
+
+        with pytest.raises(Rp4fcError, match=r"'t1'.*'meta\.x'"):
+            rp4fc(build_hlir(parse_p4(GUARD_REWRITE_P4)))
+        with pytest.raises(Rp4fcError):
+            PisaSwitch().load(GUARD_REWRITE_P4)
+
+        switch = PisaSwitch(n_stages=8)
+        switch.load(base_p4_source())
+        populate_base_tables(switch.tables)
+        probe = ipv4_packet("10.1.0.1", "10.2.0.5")
+        before = switch.inject(probe, 0)
+        txn = switch.begin_reload(GUARD_REWRITE_P4, entries={})
+        with pytest.raises(Rp4fcError):
+            txn.prepare()
+        after = switch.inject(probe, 0)
+        assert before is not None and after is not None
+        assert (after.port, after.data) == (before.port, before.data)
+        assert "t1" not in switch.tables
