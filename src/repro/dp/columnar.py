@@ -11,7 +11,8 @@ evaluations, and table probes thousands of times.  This module runs
 2. **Compile** -- per signature, lower the device's compiled scalar
    plan into vector kernels: predicates and action expressions become
    uint64 broadcast ops, table lookups become batched probes against
-   the engines' packed-record indexes
+   the engines' range indexes, one ``searchsorted`` per lookup however
+   many prefix lengths a table holds
    (:meth:`repro.tables.table.Table.lookup_batch`).
 3. **Execute** -- run every stage once per batch with row masks for
    drop/divergence, scatter dirty fields back into the byte matrix,
@@ -1537,10 +1538,9 @@ def _emit_rows(sp, pc, final, rows_global, outputs, device, deparser):
     if final.size == 0:
         return
     np = pc.np
-    all_rows = np.arange(pc.m)
     for ref in pc.dirty:
         scatter = sp.recipes[ref][1]
-        scatter(pc.mat, pc.cols[ref], all_rows)
+        scatter(pc.mat, pc.cols[ref], slice(None))
     for byte_index, mask in sp.pad_fixups:
         pc.mat[:, byte_index] &= mask
     ports = pc.get("meta.egress_spec")
@@ -1629,14 +1629,14 @@ class ColumnarProgram:
 
 
 #: Batches below this row count run scalar without even consulting the
-#: columnar program cache.  A warm signature group costs a fixed
-#: ~0.45 ms on the base design whatever its row count, a scalar packet
-#: ~70 us: measured crossover 7 rows (IPSA) / 8-9 (PISA) for a
-#: one-signature batch, ~14 when the batch splits into two groups
-#: (dev_l3_fast mix: 2 051 routes, fourteen LPM passes).  Below it a
-#: tiny batch against a fresh plan (the fabric rollout's one-packet
-#: probe gate, times a thousand nodes) would also pay a full
-#: ColumnarProgram compile it can never amortize.
+#: columnar program cache.  A warm signature group pays a fixed
+#: overhead whatever its row count: on the base design the measured
+#: crossover is 6 rows (IPSA and PISA) for a one-signature batch, ~11
+#: when the batch splits into two groups (dev_l3_fast mix: 2 051
+#: routes).  It stays above the one-group crossover: a tiny batch against
+#: a fresh plan (the fabric rollout's one-packet probe gate, times a
+#: thousand nodes) would also pay a full ColumnarProgram compile it can
+#: never amortize.
 MIN_BATCH_ROWS = 8
 
 

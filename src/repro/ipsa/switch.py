@@ -249,12 +249,6 @@ class IpsaSwitch:
             self.int_clock = clock if clock is not None else MONOTONIC
         return self.int_clock
 
-    def disable_int(self) -> Optional[Clock]:
-        """Turn INT timestamping off (hot path returns to the
-        unstamped fast path); returns the detached clock."""
-        clock, self.int_clock = self.int_clock, None
-        return clock
-
     def attach_int_collector(self, collector, node: Optional[str] = None) -> None:
         """Attach a sink-side INT collector; ``pop_int`` reports each
         stripped hop stack to it (duck-typed: ``observe_strip``).

@@ -53,9 +53,6 @@ class PackingResult:
     spread: int = 0  # sum over tables of clusters touched
     nodes_explored: int = 0  # search effort (for the ablation bench)
 
-    def clusters_for(self, table: str) -> List[int]:
-        return sorted(self.assignment.get(table, {}))
-
 
 FreeMap = Dict[Tuple[int, MemoryKind], int]
 

@@ -743,10 +743,6 @@ class HealthEngine:
     def install(self, rules: Iterable[Rule]) -> None:
         self.rules.extend(rules)
 
-    def clear_rules(self) -> None:
-        self.rules = []
-        self._alerts = {}
-
     def add_source(
         self,
         name: str,

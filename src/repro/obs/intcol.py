@@ -367,10 +367,6 @@ class IntCollector:
 
     # -- views -------------------------------------------------------------
 
-    def flow_path(self, flow: str) -> Optional[Tuple[int, ...]]:
-        """Last observed hop list (switch ids) for ``flow``."""
-        return self._flow_paths.get(flow)
-
     def flows(self) -> Dict[str, Tuple[int, ...]]:
         return dict(self._flow_paths)
 

@@ -182,10 +182,6 @@ class PisaSwitch:
             self.int_clock = clock if clock is not None else MONOTONIC
         return self.int_clock
 
-    def disable_int(self) -> Optional[Clock]:
-        clock, self.int_clock = self.int_clock, None
-        return clock
-
     def attach_int_collector(self, collector, node: Optional[str] = None) -> None:
         """Attach a sink-side INT collector fed by ``pop_int``."""
         self.int_collector = collector

@@ -372,11 +372,6 @@ class Fabric:
         self._int_strip = strip
         return collector
 
-    def detach_int_collector(self):
-        """Stop collecting at the edge; returns the detached collector."""
-        collector, self.int_collector = self.int_collector, None
-        return collector
-
     def attach_health(self, engine=None, rules=None, clock=None):
         """Attach a streaming health engine over every current node.
 

@@ -312,9 +312,6 @@ class ActionCall:
     action: str
     data: Tuple[Tuple[str, int], ...] = ()
 
-    def data_dict(self) -> Dict[str, int]:
-        return dict(self.data)
-
 
 NO_ACTION = ActionDef("NoAction", [], [])
 

@@ -23,29 +23,50 @@ __all__ = [
 ]
 
 
-def _pack_key_records(np, keys, field_bytes):
-    """Pack python-int key tuples into fixed-width big-endian records.
+def _native_keys(np, widths, items):
+    """Entry keys as composite ``uint64`` values (fields shifted
+    together in key order, ``widths[i]`` bits each), or ``None`` when a
+    part does not fit its declared width."""
+    try:
+        mat = np.array([key for key, _entry in items], np.uint64)
+    except OverflowError:
+        return None
+    mat = mat.reshape(len(items), len(widths))
+    if any(
+        w < 64 and (mat[:, i] >> np.uint64(w)).any()
+        for i, w in enumerate(widths)
+    ):
+        return None
+    keys = mat[:, 0]
+    for i, w in enumerate(widths[1:], 1):
+        keys = (keys << np.uint64(w)) | mat[:, i]
+    return keys
 
-    Returns a ``numpy`` byte-string array (one record per key) or
-    ``None`` when any key part does not fit its declared field width
-    (negative or oversized values) -- the caller then keeps the scalar
-    lookup path.  Fixed-width big-endian records compare bytewise in
-    the same order as the integer tuples, so a sorted record array
-    supports ``searchsorted`` batch lookups.
-    """
-    record = sum(field_bytes)
-    packed = []
-    for key in keys:
-        try:
-            packed.append(
-                b"".join(
-                    int(v).to_bytes(nb, "big")
-                    for v, nb in zip(key, field_bytes)
-                )
-            )
-        except (OverflowError, TypeError, AttributeError):
-            return None
-    return np.array(packed, dtype=f"S{record}")
+
+def _record_keys(np, field_bytes, items):
+    """Entry keys as composite ints over whole ``8 * field_bytes``-bit
+    slots (an object array), or ``None`` when a part is negative or too
+    wide."""
+    keys = []
+    try:
+        for key, _entry in items:
+            composite = 0
+            for v, nb in zip(key, field_bytes):
+                if not 0 <= v < 1 << (8 * nb):
+                    return None
+                composite = composite << (8 * nb) | v
+            keys.append(composite)
+    except TypeError:
+        return None
+    return np.array(keys, object)
+
+
+def _records(np, values, record):
+    """Ints -> fixed-width big-endian byte records, which compare
+    bytewise in integer order."""
+    return np.array(
+        [v.to_bytes(record, "big") for v in values.tolist()], f"S{record}"
+    )
 
 
 def _pack_query_records(np, cols, field_bytes, m):
@@ -55,20 +76,10 @@ def _pack_query_records(np, cols, field_bytes, m):
     ``(hi, lo)`` pair of ``uint64`` arrays for a 16-byte field.
     """
     parts = []
-    for col, nb in zip(cols, field_bytes):
-        if nb == 16:
-            hi, lo = col
+    for col in cols:
+        for half in col if isinstance(col, tuple) else (col,):
             parts.append(
-                np.ascontiguousarray(hi.astype(">u8"))
-                .view(np.uint8).reshape(m, 8)
-            )
-            parts.append(
-                np.ascontiguousarray(lo.astype(">u8"))
-                .view(np.uint8).reshape(m, 8)
-            )
-        else:
-            parts.append(
-                np.ascontiguousarray(col.astype(">u8"))
+                np.ascontiguousarray(half.astype(">u8"))
                 .view(np.uint8).reshape(m, 8)
             )
     mat = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
@@ -76,7 +87,125 @@ def _pack_query_records(np, cols, field_bytes, m):
     return mat.view(f"S{mat.shape[1]}").ravel()
 
 
-class ExactEngine:
+def _paint(np, lo, last, bounds, sizes):
+    """Paint blocks ``[lo, last]`` into elementary intervals.
+
+    The blocks come in rank order, in groups of ``sizes``: a group's
+    blocks are disjoint and sorted, and each nests in or misses every
+    block of a later group.  Painting the groups last-first (shortest
+    prefix first) leaves every interval the rank of the longest prefix
+    covering it.  ``bounds`` holds the smallest key, every block start
+    and every ``last + 1``; the returned ``(starts, rank)`` answer a
+    key ``q`` with ``rank[searchsorted(starts, q, "right") - 1]``
+    (-1: miss).
+    """
+    bounds = np.sort(bounds)
+    starts = bounds[np.concatenate(([True], bounds[1:] != bounds[:-1]))]
+    rank = np.full(starts.size, -1, np.int64)
+    pos = np.arange(starts.size)
+    end = lo.size
+    for size in reversed(sizes):
+        begin = end - size
+        first = np.searchsorted(starts, lo[begin:end])
+        stop = np.searchsorted(starts, last[begin:end], "right")
+        block = np.searchsorted(first, pos, "right") - 1
+        inside = (block >= 0) & (pos < stop[block])
+        rank[inside] = begin + block[inside]
+        end = begin
+    keep = np.concatenate(([True], rank[1:] != rank[:-1]))
+    return starts[keep], rank[keep]
+
+
+class _RangeIndexed:
+    """The batch index of the exact and LPM engines.
+
+    Each entry matches one aligned block of composite keys: an exact
+    key is a block of one, a prefix covers the block its free low bits
+    span, and a ``/0`` covers its whole slot (what the scalar mask does
+    to an oversize value).  The blocks are painted into elementary
+    intervals, so a batch lookup is one query build and one
+    ``searchsorted`` however many prefix lengths are installed: the
+    range-search LPM of Lampson, Srinivasan and Varghese, "IP Lookups
+    Using Multiway and Multicolumn Search" (IEEE/ACM ToN 1999).
+
+    Keys whose declared widths sum to <= 64 bits, with every installed
+    part inside its width, use one sorted ``uint64`` array; a query row
+    with a part beyond its width answers through the scalar
+    :meth:`lookup`.  Wider keys use fixed-width byte records.
+    """
+
+    def build_batch_index(self, np, field_bytes, widths=None) -> bool:
+        """(Re)build the index for ``field_bytes`` column bytes and the
+        declared ``widths`` in bits (default: whole columns) per key
+        field; ``False`` -> stay scalar."""
+        shape = (field_bytes, widths)
+        cached = self._batch
+        if cached is not None and cached[0] == self.version and cached[1] == shape:
+            return True
+        groups = self._batch_groups()
+        items = [item for _free, group in groups for item in group]
+        sizes = [len(group) for _free, group in groups]
+        slots = widths or tuple(8 * nb for nb in field_bytes)
+        lo = _native_keys(np, slots, items) if sum(slots) <= 64 else None
+        if lo is not None:
+            native = tuple((np.uint64(w), w < 64) for w in slots)
+            dtype, one = np.uint64, np.uint64(1)
+        else:
+            native, dtype, one = None, object, 1
+            slots = tuple(8 * nb for nb in field_bytes)
+            lo = _record_keys(np, field_bytes, items)
+            if lo is None:
+                self._batch = None
+                return False
+        low = [(1 << (slots[-1] if free is None else free)) - 1
+               for free, _group in groups]
+        last = lo | np.repeat(np.array(low, dtype), sizes)
+        after = last + one  # uint64 wraps to 0 past the top key
+        if native is None:
+            record = sum(field_bytes)
+            after %= 1 << (8 * record)
+            lo, last, after = (
+                _records(np, keys, record) for keys in (lo, last, after)
+            )
+        order = np.lexsort((lo, np.repeat(np.arange(len(sizes)), sizes)))
+        lo, last = lo[order], last[order]
+        bounds = np.concatenate((np.zeros(1, lo.dtype), lo, after))
+        starts, rank = _paint(np, lo, last, bounds, sizes)
+        self._batch = (
+            self.version, shape, native, starts, rank,
+            [items[i][1] for i in order.tolist()],
+        )
+        return True
+
+    def _lookup_ranks(self, np, cols, m):
+        """Batched lookup: (entry-rank array with -1 for miss, entries).
+        ``entries`` is the index's own list: one object per version."""
+        _version, shape, native, starts, rank, entries = self._batch
+        over = None
+        if native is None:
+            query = _pack_query_records(np, cols, shape[0], m)
+        else:
+            query = None
+            for col, (width, guarded) in zip(cols, native):
+                query = col if query is None else (query << width) | col
+                if guarded:
+                    high = col >> width
+                    over = high if over is None else over | high
+        idx = rank[np.searchsorted(starts, query, "right") - 1]
+        if over is not None and over.any():
+            for row in np.flatnonzero(over).tolist():
+                found = self.lookup(tuple(int(col[row]) for col in cols))
+                idx[row] = next(
+                    (i for i, e in enumerate(entries) if e is found), -1
+                )
+        return idx, entries
+
+    def batch_entries(self) -> List[object]:
+        """The entry list batch ranks index: one object per version."""
+        return self._batch[5]
+
+
+class ExactEngine(_RangeIndexed):
     """All key fields matched exactly: a plain hash map."""
 
     kind = "exact"
@@ -102,44 +231,14 @@ class ExactEngine:
     def lookup(self, values: Tuple[int, ...]) -> Optional[object]:
         return self._entries.get(values)
 
-    def build_batch_index(self, np, field_bytes) -> bool:
-        """(Re)build the sorted-record index; ``False`` -> stay scalar."""
-        cached = self._batch
-        if (
-            cached is not None
-            and cached[0] == self.version
-            and cached[1] == field_bytes
-        ):
-            return True
+    def _batch_groups(self):
+        """One group of one-key blocks (free bits 0)."""
         items = list(self._entries.items())
-        recs = _pack_key_records(np, [k for k, _ in items], field_bytes)
-        if recs is None:
-            self._batch = None
-            return False
-        order = np.argsort(recs)
-        self._batch = (
-            self.version,
-            field_bytes,
-            recs[order],
-            [items[int(i)][1] for i in order],
-        )
-        return True
+        return [(0, items)] if items else []
 
     def lookup_batch(self, np, cols, m):
-        """Batched lookup: (entry-rank array with -1 for miss, entries).
-        ``entries`` is the index's own list: one object per version."""
-        _version, field_bytes, sorted_recs, entries = self._batch
-        if not entries:
-            return np.full(m, -1, np.int64), entries
-        query = _pack_query_records(np, cols, field_bytes, m)
-        pos = np.searchsorted(sorted_recs, query)
-        clamped = np.minimum(pos, len(entries) - 1)
-        hit = sorted_recs[clamped] == query
-        return np.where(hit, clamped, -1).astype(np.int64), entries
-
-    def batch_entries(self) -> List[object]:
-        """The entry list batch ranks index: one object per version."""
-        return self._batch[3]
+        """Batched :meth:`lookup` of ``m`` rows (see ``_lookup_ranks``)."""
+        return self._lookup_ranks(np, cols, m)
 
     def entries(self) -> List[object]:
         return list(self._entries.values())
@@ -148,12 +247,13 @@ class ExactEngine:
         return len(self._entries)
 
 
-class LpmEngine:
+class LpmEngine(_RangeIndexed):
     """One longest-prefix-match field, optionally preceded by exact fields.
 
     The LPM field's key is a ``(value, prefix_len)`` pair.  Lookup
     scans installed prefix lengths from longest to shortest; within a
     length the match is a hash lookup, so cost is O(#distinct lengths).
+    The batch index answers every length in one probe.
     """
 
     kind = "lpm"
@@ -210,77 +310,18 @@ class LpmEngine:
                 return entry
         return None
 
-    def build_batch_index(self, np, field_bytes) -> bool:
-        """Per-prefix-length sorted-record indexes (longest first)."""
-        cached = self._batch
-        if (
-            cached is not None
-            and cached[0] == self.version
-            and cached[1] == field_bytes
-        ):
-            return True
-        buckets = []
-        entries: List[object] = []  # rank order: longest first, then record
-        for plen in sorted(self._by_len, reverse=True):
-            items = list(self._by_len[plen].items())
-            recs = _pack_key_records(np, [k for k, _ in items], field_bytes)
-            if recs is None:
-                self._batch = None
-                return False
-            order = np.argsort(recs)
-            buckets.append((plen, recs[order], len(entries)))
-            entries.extend(items[i][1] for i in order.tolist())
-        self._batch = (self.version, field_bytes, buckets, entries)
-        return True
-
-    def _mask_col(self, np, col, prefix_len):
-        """Vector version of :meth:`_mask` (handles the (hi, lo) pair
-        representation of >64-bit LPM fields)."""
-        width = self.lpm_width
-        if isinstance(col, tuple):
-            hi, lo = col
-            shift = width - prefix_len
-            if prefix_len == 0:
-                zero = np.zeros_like(hi)
-                return (zero, zero)
-            if shift >= 64:
-                hs = shift - 64
-                masked_hi = hi if hs == 0 else (hi >> hs) << hs
-                return (masked_hi, np.zeros_like(lo))
-            if shift == 0:
-                return (hi, lo)
-            return (hi, (lo >> shift) << shift)
-        if prefix_len == 0:
-            return np.zeros_like(col)
-        shift = width - prefix_len
-        if shift == 0:
-            return col
-        return (col >> shift) << shift
+    def _batch_groups(self):
+        """Longest prefix first; a group's free bits are the bits its
+        prefix leaves open (``None``: a ``/0``, its whole slot)."""
+        return [
+            (self.lpm_width - plen if plen else None, list(bucket.items()))
+            for plen, bucket in sorted(self._by_len.items(), reverse=True)
+        ]
 
     def lookup_batch(self, np, exact_cols, lpm_col, m):
-        """Batched longest-prefix match, one masked pass per length,
-        until every row is resolved.  Ranks index the flat ``entries``
-        list the index was built with (one object per version)."""
-        _version, field_bytes, buckets, entries = self._batch
-        idx = np.full(m, -1, np.int64)
-        unresolved = np.ones(m, bool)
-        for plen, sorted_recs, base in buckets:
-            masked = self._mask_col(np, lpm_col, plen)
-            query = _pack_query_records(
-                np, list(exact_cols) + [masked], field_bytes, m
-            )
-            pos = np.searchsorted(sorted_recs, query)
-            clamped = np.minimum(pos, len(sorted_recs) - 1)
-            hit = (sorted_recs[clamped] == query) & unresolved
-            idx[hit] = base + clamped[hit]
-            unresolved &= ~hit
-            if not unresolved.any():
-                break
-        return idx, entries
-
-    def batch_entries(self) -> List[object]:
-        """The entry list batch ranks index: one object per version."""
-        return self._batch[3]
+        """Batched longest-prefix match of ``m`` rows: one probe, not
+        one per prefix length (see ``_lookup_ranks``)."""
+        return self._lookup_ranks(np, [*exact_cols, lpm_col], m)
 
     def entries(self) -> List[object]:
         return [e for bucket in self._by_len.values() for e in bucket.values()]

@@ -289,8 +289,11 @@ class Table:
     # -- batched lookup (columnar fast path) -------------------------------
 
     def batch_field_bytes(self):
-        """Record bytes per key field (8 or 16), or ``None`` if any
-        field is too wide for the packed-record batch index."""
+        """Column bytes per key field (8: one ``uint64`` column, 16: an
+        ``(hi, lo)`` pair), or ``None`` if any field is wider than 128
+        bits.  With the declared widths they pick the batch index's
+        codec: one ``uint64`` per key when the widths sum to <= 64,
+        else fixed-width byte records."""
         field_bytes = []
         for kf in self.key:
             if kf.width <= 64:
@@ -312,7 +315,9 @@ class Table:
         field_bytes = self.batch_field_bytes()
         if field_bytes is None:
             return False
-        return engine.build_batch_index(np, field_bytes)
+        return engine.build_batch_index(
+            np, field_bytes, tuple(kf.width for kf in self.key)
+        )
 
     def lookup_batch(self, np, cols, lengths):
         """Vectorized :meth:`lookup` over ``m`` rows.

@@ -13,12 +13,13 @@ count them with ``sys.setprofile`` on the ``dev_l3_fast`` mix of
 under 10.2/16) and print what they measured -- run with ``-rA`` to
 read the counts off a green log.
 
-The one cost that *is* per table shape, by design, is the LPM pass
-count: one masked probe per installed prefix length until every row
-is resolved.  The extra routes therefore all sit in 10.2.0.0/17 and
-every burst carries rows for 10.2.128.0/17, which only the base
-design's /16 matches -- so every ``ipv4_lpm`` lookup below makes the
-same fourteen passes, and what is left to differ is what must not.
+Nor is the cost per prefix length: an LPM table's batch index paints
+every prefix into disjoint key ranges, so one lookup is one
+``searchsorted`` whether the table holds one prefix length or
+thirteen.  The extra
+routes all sit in 10.2.0.0/17 and every burst also carries rows for
+10.2.128.0/17, which only the base design's /16 matches, so rows
+resolve at every depth the table has.
 
 The INT test pins the same model on an INT transit hop: the hop count
 is part of the signature and ``push_int`` runs once per group, so a
@@ -50,47 +51,48 @@ ROUTED_NET = parse_ipv4("10.2.0.0")
 PREFIX_LENGTHS = range(18, 31)
 
 #: Calls one burst may cost on the 2 048-route, many-flow mix: the
-#: measured 2 779 (CPython 3.11, NumPy 2.4) + 15%.  The parent of the
+#: measured 2 247 (CPython 3.11, NumPy 2.4) + 15%.  The parent of the
 #: per-action dispatch measured 4 764 on the same burst (4 094 with 16
-#: routes, 3 930 with one flow per family).
-CALL_BUDGET = 3195
+#: routes, 3 930 with one flow per family), and the parent of the
+#: one-probe LPM index 2 779.
+CALL_BUDGET = 2584
 
 #: Calls one warm 256-row ``dev_srv6_mix`` burst may cost, whatever its
-#: End:transit ratio: the measured 4 088 (CPython 3.11, NumPy 2.4) + 15%.
-SRV6_CALL_BUDGET = 4701
+#: End:transit ratio: the measured 3 454 (CPython 3.11, NumPy 2.4) + 15%.
+SRV6_CALL_BUDGET = 3972
 
 #: Calls one warm 256-row burst through C3's flow probe may cost,
-#: whatever its probed share: the measured 2 116 (CPython 3.11, NumPy
+#: whatever its probed share: the measured 1 644 (CPython 3.11, NumPy
 #: 2.4) + 15%.  Before the kernel every IPv4 row peeled.
-PROBE_CALL_BUDGET = 2433
+PROBE_CALL_BUDGET = 1891
 
 
-def _routes(count):
-    """``count`` distinct prefixes under 10.2.0.0/17, the first thirteen
-    covering every length of ``PREFIX_LENGTHS`` (a short list is a
-    prefix of a longer one)."""
+def _routes(count, lengths=PREFIX_LENGTHS):
+    """``count`` distinct prefixes under 10.2.0.0/17, the first ones
+    covering every length of ``lengths`` (a short list is a prefix of a
+    longer one)."""
     rng = random.Random(23)
     routes = {}
     while len(routes) < count:
-        if len(routes) < len(PREFIX_LENGTHS):
-            plen = PREFIX_LENGTHS[len(routes)]
+        if len(routes) < len(lengths):
+            plen = lengths[len(routes)]
         else:
-            plen = rng.choice(PREFIX_LENGTHS)
+            plen = rng.choice(lengths)
         host = rng.getrandbits(15) >> (32 - plen) << (32 - plen)
         routes.setdefault((ROUTED_NET | host, plen), 1 + len(routes) % 3)
     return routes
 
 
-def _switch(n_routes):
-    return _controller(n_routes).switch
+def _switch(n_routes, lengths=PREFIX_LENGTHS):
+    return _controller(n_routes, lengths).switch
 
 
-def _controller(n_routes):
+def _controller(n_routes, lengths=PREFIX_LENGTHS):
     controller = Controller()
     controller.load_base(base_rp4_source())
     switch = controller.switch
     populate_base_tables(switch.tables)
-    for (value, plen), nexthop in _routes(n_routes).items():
+    for (value, plen), nexthop in _routes(n_routes, lengths).items():
         switch.tables["ipv4_lpm"].add_entry(TableEntry(
             key=(1, (value, plen)), action="set_nexthop",
             action_data={"nexthop": nexthop}, tag=1,
@@ -163,6 +165,17 @@ def test_calls_do_not_grow_with_the_flow_count():
     assert abs(many - one) <= 0.10 * one
 
 
+def test_calls_do_not_grow_with_the_prefix_length_count():
+    """2 048 extra routes in one prefix length (/30) or in thirteen
+    (/18../30), on top of the base design's own: one probe either way."""
+    items = _burst(*_many_flows())
+    one = _calls_per_burst(_switch(2048, (30,)), items)
+    thirteen = _calls_per_burst(_switch(2048), items)
+    print(f"calls per {BURST}-row burst: {one} @ 1 extra prefix length, "
+          f"{thirteen} @ 13")
+    assert thirteen == one
+
+
 def test_calls_stay_within_the_absolute_budget():
     calls = _calls_per_burst(_switch(2048), _burst(*_many_flows()))
     print(f"calls per {BURST}-row burst: {calls} @ 2048 routes, "
@@ -173,8 +186,8 @@ def test_calls_stay_within_the_absolute_budget():
 INT_BURST = 64
 
 #: Calls one warm 64-row INT transit burst may cost, whatever the hop
-#: count: the measured 1 371 (CPython 3.11, NumPy 2.4) + 15%.
-INT_CALL_BUDGET = 1577
+#: count: the measured 1 251 (CPython 3.11, NumPy 2.4) + 15%.
+INT_CALL_BUDGET = 1439
 
 
 def _int_transit(hops):
