@@ -5,9 +5,11 @@ mostly-identical packets repeats the same parse decisions, predicate
 evaluations, and table probes thousands of times.  This module runs
 :func:`repro.dp.frontdoor.inject_batch` input column-wise instead:
 
-1. **Classify** -- walk the parse graph over the whole batch at once
-   (selector fields extracted as NumPy columns) and partition rows by
-   *parse-set signature*: the exact header chain a packet would parse.
+1. **Classify** -- partition rows by *parse-set signature*, the exact
+   header chain a packet would parse: learned probes claim the rows
+   whose selectors and varbit counts match a chain seen before, and the
+   rest walk the parse graph over the whole batch at once.  Every field
+   reads and writes as one byte window (:func:`_make_recipe`).
 2. **Compile** -- per signature, lower the device's compiled scalar
    plan into vector kernels: predicates and action expressions become
    uint64 broadcast ops, table lookups become batched probes against
@@ -81,6 +83,7 @@ NUMPY_HINT = (
 
 _MISSING = object()
 _NEVER = object()  # arm predicate that is constant-false for the signature
+_MASK64 = (1 << 64) - 1
 
 
 def _numpy():
@@ -124,72 +127,67 @@ class _Ineligible(Exception):
 # --------------------------------------------------------------------------
 
 
+#: ``rows`` of a whole-column read or write.
+_ALL = slice(None)
+
+
 def _make_recipe(np, start_bit: int, width: int):
-    """Vector extract/scatter closures for one fixed-offset field.
+    """One byte-window codec ``(extract, scatter, width)`` for one
+    fixed-offset field.
 
-    ``None`` when the field cannot be handled as one uint64 column
-    (spans more than 8 bytes) or one (hi, lo) pair (width 128, byte
-    aligned) -- users of such fields peel.
+    A field of up to 64 bits lies in a window of at most 8 bytes, read
+    as one big-endian ``uint64`` and shifted and masked only when the
+    field is not byte aligned; it writes back through the same window,
+    and only an unaligned field reads before it writes.  A byte-aligned
+    128-bit field is two 8-byte windows, a ``(hi, lo)`` pair.  ``None``
+    for anything else -- users of such fields peel.  ``rows`` is
+    ``_ALL`` or an index array; ``scatter`` masks to the field width.
     """
-    if width <= 64:
-        b0 = start_bit // 8
-        b1 = (start_bit + width - 1) // 8
-        nbytes = b1 - b0 + 1
-        if nbytes > 8:
-            return None
-        shift_right = (b1 + 1) * 8 - (start_bit + width)
-        sr = np.uint64(shift_right)
-        mask = np.uint64((1 << width) - 1)
-        span_bits = nbytes * 8
-        clear = np.uint64(
-            ((1 << span_bits) - 1) ^ (((1 << width) - 1) << shift_right)
-        )
-        eight = np.uint64(8)
-
-        def extract(mat):
-            acc = mat[:, b0].astype(np.uint64)
-            for b in range(b0 + 1, b1 + 1):
-                acc = (acc << eight) | mat[:, b]
-            return (acc >> sr) & mask
-
-        def scatter(mat, values, rows):
-            acc = mat[rows, b0].astype(np.uint64)
-            for b in range(b0 + 1, b1 + 1):
-                acc = (acc << eight) | mat[rows, b]
-            acc = (acc & clear) | (values << sr)
-            for j in range(nbytes - 1, -1, -1):
-                mat[rows, b0 + j] = (acc & np.uint64(0xFF)).astype(np.uint8)
-                acc = acc >> eight
-
-        return (extract, scatter, width)
+    b0 = start_bit // 8
     if width == 128 and start_bit % 8 == 0:
-        b0 = start_bit // 8
-        eight = np.uint64(8)
 
-        def extract128(mat):
-            hi = mat[:, b0].astype(np.uint64)
-            for b in range(b0 + 1, b0 + 8):
-                hi = (hi << eight) | mat[:, b]
-            lo = mat[:, b0 + 8].astype(np.uint64)
-            for b in range(b0 + 9, b0 + 16):
-                lo = (lo << eight) | mat[:, b]
-            return (hi, lo)
+        def extract128(mat, rows=_ALL):
+            pair = np.ascontiguousarray(mat[rows, b0:b0 + 16]).view(">u8")
+            return pair[:, 0].astype(np.uint64), pair[:, 1].astype(np.uint64)
 
         def scatter128(mat, values, rows):
-            hi, lo = values
-            acc = hi.copy()
-            for j in range(7, -1, -1):
-                mat[rows, b0 + j] = (acc & np.uint64(0xFF)).astype(np.uint8)
-                acc = acc >> eight
-            acc = lo.copy()
-            for j in range(7, -1, -1):
-                mat[rows, b0 + 8 + j] = (
-                    acc & np.uint64(0xFF)
-                ).astype(np.uint8)
-                acc = acc >> eight
+            pair = np.stack(values, axis=1).astype(">u8")
+            mat[rows, b0:b0 + 16] = pair.view(np.uint8)
 
         return (extract128, scatter128, width)
-    return None
+    b1 = (start_bit + width - 1) // 8
+    nbytes = b1 - b0 + 1
+    if width > 64 or nbytes > 8:
+        return None
+    shift = (b1 + 1) * 8 - (start_bit + width)
+    sr = np.uint64(shift)
+    mask = np.uint64((1 << width) - 1)
+    clear = np.uint64(_MASK64 ^ (((1 << width) - 1) << shift))
+    aligned = shift == 0 and start_bit % 8 == 0
+
+    def window(mat, rows):
+        if nbytes == 1:
+            return mat[rows, b0].astype(np.uint64)
+        block = mat[rows, b0:b1 + 1]
+        buf = np.zeros((block.shape[0], 8), np.uint8)
+        buf[:, 8 - nbytes:] = block
+        return buf.view(">u8")[:, 0].astype(np.uint64)
+
+    def extract(mat, rows=_ALL):
+        value = window(mat, rows)
+        if shift:
+            value >>= sr
+        if start_bit % 8:
+            value &= mask
+        return value
+
+    def scatter(mat, values, rows):
+        if not aligned:
+            values = (window(mat, rows) & clear) | ((values & mask) << sr)
+        image = values.astype(">u8")[:, None].view(np.uint8)
+        mat[rows, b0:b1 + 1] = image[:, 8 - nbytes:]
+
+    return (extract, scatter, width)
 
 
 def _chain_recipes(np, chain):
@@ -223,12 +221,13 @@ class PacketColumns:
     fields are ``(hi, lo)`` uint64 pairs.  On an INT device ``stamps``
     is the rows' ``meta.ingress_ts_ns`` column, and ``pushes`` collects the
     ``(rows, bytes)`` blocks :func:`_compile_push_int` kernels splice
-    in at emit.
+    in at emit.  :meth:`set_meta` is the only writer of metadata
+    columns, and ``drop_writes`` counts its writes to ``meta.drop``.
     """
 
     __slots__ = (
         "np", "m", "mat", "lengths", "ports", "stamps", "recipes",
-        "template", "cols", "dirty", "pushes",
+        "template", "cols", "dirty", "pushes", "drop_writes",
     )
 
     def __init__(self, np, mat, lengths, ports, recipes, template,
@@ -244,6 +243,7 @@ class PacketColumns:
         self.cols: Dict[str, object] = {}
         self.dirty: Dict[str, bool] = {}
         self.pushes: List[tuple] = []
+        self.drop_writes = 0
 
     def get(self, ref: str):
         col = self.cols.get(ref)
@@ -288,6 +288,8 @@ class PacketColumns:
     def set_meta(self, name: str, values, rows) -> None:
         col = self.get("meta." + name)
         col[rows] = values
+        if name == "drop":
+            self.drop_writes += 1
 
 
 # --------------------------------------------------------------------------
@@ -308,16 +310,7 @@ def _field_extractor(np, htype, off, field):
     return None
 
 
-def _merge_group(groups, chain, terminal, rows):
-    key = (tuple((c[0], c[3]) for c in chain), terminal)
-    entry = groups.get(key)
-    if entry is None:
-        groups[key] = (chain, terminal, [rows])
-    else:
-        entry[2].append(rows)
-
-
-def classify(np, items, header_types, linkage, first_header):
+def classify(np, items, header_types, linkage, first_header, probes=None):
     """Batch-wide parse walk.
 
     Returns ``(mat, lengths, ports, groups, peel)`` where ``groups``
@@ -330,6 +323,15 @@ def classify(np, items, header_types, linkage, first_header):
     (the scalar parser raises), duplicate instance names, or selectors
     the recipes cannot extract.  The edge INT collector shares it
     (:meth:`repro.obs.intcol.IntCollector.ingest_batch`).
+
+    ``probes`` (optional) are parse paths learned by earlier walks: the
+    walk appends each leaf it closes, up to :data:`MAX_PROBES`, with the
+    checks that led there (each selector and the tag it matched, each
+    varbit count and its value) and the chain's byte extent.  A row at
+    least that long that passes every check walks exactly that path, so
+    probes claim their rows first and only the rest walk.  Probe paths
+    are disjoint and leaves merge in the walk's depth-first order, so
+    the result is the one the walk alone returns.
     """
     n = len(items)
     lengths = np.array([len(d) for d, _p in items], dtype=np.int64)
@@ -348,7 +350,11 @@ def classify(np, items, header_types, linkage, first_header):
         for i, (data, _p) in enumerate(items):
             if data:
                 mat[i, : len(data)] = np.frombuffer(data, np.uint8)
-    groups: Dict[tuple, tuple] = {}
+    # Depth-first path of decisions -> (group key, chain, terminal, rows).
+    # The walk pops children in descending (vbytes, tag) order and closes
+    # a selector-less header's count splits in ascending order: sorted
+    # paths are the walk's leaf order.
+    leaves: Dict[tuple, tuple] = {}
     peel: List = []
     extractors: Dict[tuple, object] = {}
 
@@ -357,15 +363,39 @@ def classify(np, items, header_types, linkage, first_header):
         extract = extractors.get(key, _MISSING)
         if extract is _MISSING:
             extract = extractors[key] = _field_extractor(np, htype, off, field)
-        return extract
+        return key, extract
 
-    pending = [(first_header, 0, (), np.arange(n, dtype=np.int64))]
+    def close(path, checks, extent, chain, terminal, rows):
+        leaf = ((tuple((c[0], c[3]) for c in chain), terminal), chain, terminal)
+        leaves[path] = leaf + (rows,)
+        if probes is not None and len(probes) < MAX_PROBES:
+            probes.append((path, checks, extent, leaf))
+
+    rows = np.arange(n, dtype=np.int64)
+    if probes:
+        columns: Dict[tuple, object] = {}
+        free = np.ones(n, bool)
+        for path, checks, extent, leaf in probes:
+            if extent > maxlen:
+                continue
+            hit = lengths >= extent
+            for fkey, extract, value in checks:
+                col = columns.get(fkey)
+                if col is None:
+                    col = columns[fkey] = extract(mat)
+                hit &= col == value
+            claimed = np.flatnonzero(hit)
+            if claimed.size:
+                leaves[path] = leaf + (claimed,)
+                free &= ~hit
+        rows = np.flatnonzero(free)
+    pending = [(first_header, 0, (), rows, (), ())]
     while pending:
-        expected, off, chain, rows = pending.pop()
+        expected, off, chain, rows, path, checks = pending.pop()
         if rows.size == 0:
             continue
         if expected is None or expected not in header_types:
-            _merge_group(groups, chain, expected, rows)
+            close(path, checks, off, chain, expected, rows)
             continue
         htype = header_types[expected]
         if any(c[0] == expected for c in chain):
@@ -380,14 +410,17 @@ def classify(np, items, header_types, linkage, first_header):
         if rows.size == 0:
             continue
         if htype.varlen_field is None:
-            splits = [(0, rows)]
+            splits = [(0, rows, checks)]
         else:
             count = htype.varlen_count
-            extract = None if count is None else extractor(htype, off, count[0])
+            ckey, extract = (
+                (None, None) if count is None
+                else extractor(htype, off, count[0])
+            )
             if extract is None:
                 peel.append(rows)
                 continue
-            counts = extract(mat)[rows]
+            counts = extract(mat, rows)
             splits = []
             for value in _distinct(np, counts).tolist():
                 sub = rows[counts == value]
@@ -396,25 +429,36 @@ def classify(np, items, header_types, linkage, first_header):
                 if not fits.all():
                     peel.append(sub[~fits])
                     sub = sub[fits]
-                splits.append((vbytes, sub))
+                splits.append((vbytes, sub, checks + ((ckey, extract, value),)))
         selector = linkage.selector(expected)
-        extract = None if selector is None else extractor(htype, off, selector)
-        for vbytes, sub in splits:
+        if selector is not None:
+            skey, extract = extractor(htype, off, selector)
+        for vbytes, sub, sub_checks in splits:
             if sub.size == 0:
                 continue
             new_chain = chain + ((expected, htype, off, vbytes),)
             if selector is None:
-                _merge_group(groups, new_chain, None, sub)
+                close(path + ((vbytes,),), sub_checks, need + vbytes,
+                      new_chain, None, sub)
                 continue
             if extract is None:
                 peel.append(sub)
                 continue
-            tags = extract(mat)[sub]
-            for tag in _distinct(np, tags):
+            tags = extract(mat, sub)
+            for tag in _distinct(np, tags).tolist():
                 pending.append((
-                    linkage.next_header(expected, int(tag)),
-                    need + vbytes, new_chain, sub[tags == tag],
+                    linkage.next_header(expected, tag), need + vbytes,
+                    new_chain, sub[tags == tag], path + ((-vbytes, -tag),),
+                    sub_checks + ((skey, extract, tag),),
                 ))
+    groups: Dict[tuple, tuple] = {}
+    for path in sorted(leaves):
+        key, chain, terminal, rows = leaves[path]
+        entry = groups.get(key)
+        if entry is None:
+            groups[key] = (chain, terminal, [rows])
+        else:
+            entry[2].append(rows)
     return mat, lengths, ports, groups, peel
 
 
@@ -995,7 +1039,6 @@ def _compile_srv6_end(ctx: _Ctx, params):
 #: The ``int_shim`` fixed part ``push_int`` writes (the rP4 INT programs
 #: and :data:`repro.net.headers.INT_SHIM` declare exactly this).
 _INT_SHIM_FIELDS = [("orig_ethertype", 16), ("hop_count", 8)]
-_MASK64 = (1 << 64) - 1
 
 
 def _compile_push_int(ctx: _Ctx, params: Dict[str, int]):
@@ -1124,7 +1167,8 @@ def _param_columns(np, adef, datas):
 
 
 def _make_key_getter(ref: str, nbytes: int, ctx: _Ctx):
-    """One key field -> fn(pc, rows) returning its query column.
+    """One key field -> fn(pc, rows) returning its query column (the
+    column itself when ``rows`` is ``None``: the whole group).
 
     8-byte fields yield a uint64 array; 16-byte fields yield a
     ``(hi, lo)`` pair (zero-extended when the source column is small).
@@ -1148,19 +1192,20 @@ def _make_key_getter(ref: str, nbytes: int, ctx: _Ctx):
 
         def wide_getter(pc, rows):
             hi, lo = pc.get(ref)
-            return (hi[rows], lo[rows])
+            return (hi, lo) if rows is None else (hi[rows], lo[rows])
 
         return wide_getter
     if nbytes == 16:
 
         def padded_getter(pc, rows):
-            col = pc.get(ref)[rows]
+            col = _sel(pc.get(ref), rows)
             return (np.zeros(col.shape[0], np.uint64), col)
 
         return padded_getter
 
     def getter(pc, rows):
-        return pc.get(ref)[rows]
+        col = pc.get(ref)
+        return col if rows is None else col[rows]
 
     return getter
 
@@ -1439,12 +1484,14 @@ def _run_stage_arms(stage: _StageExec, pc, active, stats, np) -> None:
 def _fire_arm(ex, pc, rows, stats, np) -> None:
     """One match-action firing -- a stage's matcher arm -- over
     ``rows``: one batched lookup, then each action kernel once
-    with its parameters gathered from the dispatch columns."""
+    with its parameters gathered from the dispatch columns.  Rows
+    ascend, so an arm firing on all ``pc.m`` rows reads whole columns."""
     count = int(rows.size)
     stats.account_batch(lookups=count, actions_run=count)
-    cols = [getter(pc, rows) for getter in ex.key_getters]
+    some = None if count == pc.m else rows
+    cols = [getter(pc, some) for getter in ex.key_getters]
     idx, entries = ex.table.lookup_batch(
-        np, cols, pc.get("meta.packet_length")[rows]
+        np, cols, _sel(pc.get("meta.packet_length"), some)
     )
     slot_of_rank, slots, default = ex.dispatch[2]
     miss = idx < 0
@@ -1478,34 +1525,39 @@ def _note_drops(device, reason, count: int) -> None:
 
 def _run_group(sp: _SigPlan, plan, pc, rows_global, outputs, device):
     np = pc.np
-    drop = pc.get("meta.drop")
+    drop = pc.get("meta.drop")  # the intrinsic default: 0 on every row
+    masked = pc.drop_writes
     parser = plan.parser
     if parser is not None:  # PISA: the whole chain, before stage 0
         parser.stats.packets += pc.m
         parser.stats.headers_extracted += sp.parsed_count * pc.m
 
-    def run_side(tsps, entering):
+    def run_side(tsps, active):
+        # Dropped rows leave ``active`` before every stage and at the
+        # end of every TSP, but the mask is recomputed only after a
+        # ``meta.drop`` write.
+        nonlocal masked
         for tsp in tsps:
-            if entering.size == 0:
+            if active.size == 0:
                 break
-            tsp.stats.account_batch(packets=int(entering.size))
-            for stage in tsp.stages:
-                active = entering[drop[entering] == 0]
-                if active.size == 0:
+            tsp.stats.account_batch(packets=int(active.size))
+            for stage in tsp.stages + (None,):
+                if pc.drop_writes != masked:
+                    masked = pc.drop_writes
+                    active = active[drop[active] == 0]
+                if stage is None or active.size == 0:
                     break
                 if stage.parse_count:
                     tsp.stats.account_batch(
                         headers_parsed=stage.parse_count * int(active.size)
                     )
                 _run_stage_arms(stage, pc, active, tsp.stats, np)
-            entering = entering[drop[entering] == 0]
+        return active
 
-    all_rows = np.arange(pc.m)
-    run_side(sp.ingress, all_rows)
-    ingress_dead = int((drop != 0).sum())
+    survivors = run_side(sp.ingress, np.arange(pc.m))
+    ingress_dead = pc.m - int(survivors.size)
     if ingress_dead:
         _note_drops(device, DropReason.INGRESS_ACTION, ingress_dead)
-    survivors = all_rows[drop == 0]
     if survivors.size and plan.tm is not None:
         # Every survivor is a unicast enqueue/dequeue pair through an
         # empty TM (mcast_grp is pinned to 0 by the eligibility
@@ -1516,11 +1568,10 @@ def _run_group(sp: _SigPlan, plan, pc, rows_global, outputs, device):
         plan.tm.account_passthrough(
             list(zip((int(p) for p in unique), (int(c) for c in counts)))
         )
-    run_side(sp.egress, survivors)
-    egress_dead = int((drop[survivors] != 0).sum())
+    final = run_side(sp.egress, survivors)
+    egress_dead = int(survivors.size - final.size)
     if egress_dead:
         _note_drops(device, DropReason.EGRESS_ACTION, egress_dead)
-    final = survivors[drop[survivors] == 0]
     _emit_rows(sp, pc, final, rows_global, outputs, device, plan.deparser)
 
 
@@ -1540,7 +1591,7 @@ def _emit_rows(sp, pc, final, rows_global, outputs, device, deparser):
     np = pc.np
     for ref in pc.dirty:
         scatter = sp.recipes[ref][1]
-        scatter(pc.mat, pc.cols[ref], slice(None))
+        scatter(pc.mat, pc.cols[ref], _ALL)
     for byte_index, mask in sp.pad_fixups:
         pc.mat[:, byte_index] &= mask
     ports = pc.get("meta.egress_spec")
@@ -1598,12 +1649,13 @@ class ColumnarProgram:
 
     __slots__ = (
         "np", "supported", "header_types", "linkage",
-        "first_header", "template", "sigs",
+        "first_header", "template", "sigs", "probes",
     )
 
     def __init__(self, np, core, plan):
         self.np = np
         self.sigs: Dict[tuple, Optional[_SigPlan]] = {}
+        self.probes: List[tuple] = []  # learned parse paths (classify)
         self.template = core.metadata_template
         # Classify with the parse graph the plan parses with.
         source = core.device if plan.parser is None else plan.parser
@@ -1631,13 +1683,18 @@ class ColumnarProgram:
 #: Batches below this row count run scalar without even consulting the
 #: columnar program cache.  A warm signature group pays a fixed
 #: overhead whatever its row count: on the base design the measured
-#: crossover is 6 rows (IPSA and PISA) for a one-signature batch, ~11
+#: crossover is 4 rows (IPSA and PISA) for a one-signature batch, 8
 #: when the batch splits into two groups (dev_l3_fast mix: 2 051
 #: routes).  It stays above the one-group crossover: a tiny batch against
 #: a fresh plan (the fabric rollout's one-packet probe gate, times a
 #: thousand nodes) would also pay a full ColumnarProgram compile it can
 #: never amortize.
 MIN_BATCH_ROWS = 8
+
+#: Learned parse paths one :class:`ColumnarProgram` keeps for
+#: :func:`classify`: enough for the shipped mixes' leaves, few enough
+#: that probes which claim nothing stay cheap.
+MAX_PROBES = 8
 
 
 def try_run_batch(core, items, stamps=None) -> Optional[List[object]]:
@@ -1671,7 +1728,8 @@ def try_run_batch(core, items, stamps=None) -> Optional[List[object]]:
     if plan.tm is not None and plan.tm.occupancy() != 0:
         return None  # leftover TM state: keep the scalar path honest
     mat, lengths, ports, groups, peel = classify(
-        np, items, prog.header_types, prog.linkage, prog.first_header
+        np, items, prog.header_types, prog.linkage, prog.first_header,
+        prog.probes,
     )
     runnable = []
     peel_arrays = list(peel)

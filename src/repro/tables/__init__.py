@@ -7,7 +7,6 @@ vs. the disaggregated pool) and *when* actions are bound to stages
 """
 
 from repro.tables.actions import (
-    ActionCall,
     ActionContext,
     ActionDef,
     BinOp,
@@ -36,7 +35,6 @@ from repro.tables.table import (
 )
 
 __all__ = [
-    "ActionCall",
     "ActionContext",
     "ActionDef",
     "BinOp",

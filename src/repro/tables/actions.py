@@ -305,14 +305,6 @@ class ActionDef:
             op.execute(ctx)
 
 
-@dataclass(frozen=True)
-class ActionCall:
-    """An action name plus bound data, as stored in a table entry."""
-
-    action: str
-    data: Tuple[Tuple[str, int], ...] = ()
-
-
 NO_ACTION = ActionDef("NoAction", [], [])
 
 

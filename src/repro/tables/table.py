@@ -346,6 +346,11 @@ class Table:
             ranks = idx
             if hits < m:
                 ranks, lengths = idx[hit], lengths[hit]
+            if not (ranks != ranks[0]).any():  # every hit on one entry
+                entry = entries[int(ranks[0])]
+                entry.hits += hits
+                entry.bytes += int(lengths.sum())
+                return idx, entries
             # Only the entries this batch touched: never a table walk.
             counts = np.bincount(ranks)
             byte_sums = np.bincount(ranks, weights=lengths)

@@ -4,7 +4,8 @@ tests, ``perf/``, ``benchmarks/``, ``examples/`` or ``docs/``.
 
 A name counts as used when it occurs as a word more often than it is
 defined (``lookup`` is defined by several engines and called by the
-table).  Console-script entry points are called by the installer, so
+table).  A package ``__init__.py`` that only imports a name and lists
+it in ``__all__`` does not use it.  Console-script entry points are called by the installer, so
 they are allowlisted by name.
 """
 
@@ -35,12 +36,30 @@ def _public_definitions():
     return defined, where
 
 
+def _reexports_removed(text):
+    """A package ``__init__`` without its import statements and its
+    ``__all__`` list: re-exporting a name is not using it."""
+    lines = text.splitlines()
+    for node in ast.parse(text).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or (
+            isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        ):
+            lines[node.lineno - 1:node.end_lineno] = [""] * (
+                node.end_lineno - node.lineno + 1
+            )
+    return "\n".join(lines)
+
+
 def _word_counts():
     words = Counter()
     for top in CORPUS:
         for path in (ROOT / top).rglob("*"):
             if path.suffix in (".py", ".md") and path != Path(__file__).resolve():
-                words.update(re.findall(r"\w+", path.read_text()))
+                text = path.read_text()
+                if path.name == "__init__.py":
+                    text = _reexports_removed(text)
+                words.update(re.findall(r"\w+", text))
     return words
 
 
