@@ -3,6 +3,7 @@
 Used by both :class:`repro.ipsa.switch.IpsaSwitch` and
 :class:`repro.pisa.switch.PisaSwitch`:
 
+* :mod:`repro.dp.batch`     -- ``PacketBatch``, one batch form device to device
 * :mod:`repro.dp.plan`      -- commit-time compiled stage plans
 * :mod:`repro.dp.core`      -- per-device plan cache + invalidation
 * :mod:`repro.dp.exec`      -- the single parameterized execution loop

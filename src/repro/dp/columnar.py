@@ -3,7 +3,8 @@
 The scalar loop pays Python dispatch per packet per stage; a trace of
 mostly-identical packets repeats the same parse decisions, predicate
 evaluations, and table probes thousands of times.  This module runs
-:func:`repro.dp.frontdoor.inject_batch` input column-wise instead:
+:func:`repro.dp.frontdoor.inject_batch` input -- one
+:class:`~repro.dp.batch.PacketBatch` -- column-wise instead:
 
 1. **Classify** -- partition rows by *parse-set signature*, the exact
    header chain a packet would parse: learned probes claim the rows
@@ -18,7 +19,8 @@ evaluations, and table probes thousands of times.  This module runs
    (:meth:`repro.tables.table.Table.lookup_batch`).
 3. **Execute** -- run every stage once per batch with row masks for
    drop/divergence, scatter dirty fields back into the byte matrix,
-   and emit survivors.
+   and hand the survivors' rows on as the output batch: the next hop
+   reads the matrix this one wrote.
 
 A table-firing site (a stage's matcher arm: IPSA and PISA compile to
 the same stage plans) compiles its action kernels lazily, on the first
@@ -55,14 +57,9 @@ the front door silently keeps the scalar loop.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional
 
-try:  # pragma: no cover - exercised via REPRO_FORCE_NO_NUMPY in CI
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
+from repro.dp.batch import PacketBatch, _distinct, _numpy
 from repro.lang import expr as lang
 from repro.net.fields import mask_to_width
 from repro.net.headers import (
@@ -86,13 +83,6 @@ _NEVER = object()  # arm predicate that is constant-false for the signature
 _MASK64 = (1 << 64) - 1
 
 
-def _numpy():
-    """The NumPy module, or ``None`` (absent / explicitly disabled)."""
-    if os.environ.get("REPRO_FORCE_NO_NUMPY") == "1":
-        return None
-    return _np
-
-
 def require_numpy():
     """Raise a descriptive ImportError when the columnar path is
     requested explicitly but NumPy is unavailable."""
@@ -100,22 +90,6 @@ def require_numpy():
     if np is None:
         raise ImportError(NUMPY_HINT)
     return np
-
-
-def _distinct(np, values, counts: bool = False):
-    """Sorted distinct values of a 1-D array, optionally with how often
-    each occurs: ``np.unique`` as a sort and a neighbour diff.
-    ``np.unique`` itself lazily imports ``numpy.ma`` on first use
-    (about 1 MB of resident heap the fast path never needs)."""
-    ordered = np.sort(values)
-    # first[i]: ordered[i] opens a run; the extra last slot closes the final one.
-    first = np.ones(ordered.size + 1, dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:-1])
-    distinct = ordered[first[:-1]]
-    if not counts:
-        return distinct
-    bounds = np.flatnonzero(first)
-    return distinct, bounds[1:] - bounds[:-1]
 
 
 class _Ineligible(Exception):
@@ -310,8 +284,16 @@ def _field_extractor(np, htype, off, field):
     return None
 
 
+def _batch_of(items) -> PacketBatch:
+    """``(data, port)`` pairs as a batch."""
+    return PacketBatch.from_frames(
+        [data for data, _p in items], [port for _d, port in items]
+    )
+
+
 def classify(np, items, header_types, linkage, first_header, probes=None):
-    """Batch-wide parse walk.
+    """Batch-wide parse walk over a :class:`PacketBatch` (or a list of
+    ``(data, port)`` pairs, made into one).
 
     Returns ``(mat, lengths, ports, groups, peel)`` where ``groups``
     maps a signature key to ``(chain, terminal, row index arrays)``;
@@ -325,31 +307,21 @@ def classify(np, items, header_types, linkage, first_header, probes=None):
     (:meth:`repro.obs.intcol.IntCollector.ingest_batch`).
 
     ``probes`` (optional) are parse paths learned by earlier walks: the
-    walk appends each leaf it closes, up to :data:`MAX_PROBES`, with the
-    checks that led there (each selector and the tag it matched, each
-    varbit count and its value) and the chain's byte extent.  A row at
-    least that long that passes every check walks exactly that path, so
-    probes claim their rows first and only the rest walk.  Probe paths
-    are disjoint and leaves merge in the walk's depth-first order, so
-    the result is the one the walk alone returns.
+    walk records each leaf it closes, with the checks that led there
+    (each selector and the tag it matched, each varbit count and its
+    value) and the chain's byte extent.  A row at least that long that
+    passes every check walks exactly that path, so probes claim their
+    rows first and only the rest walk.  Up to :data:`MAX_PROBES` are
+    kept; once the list is full, a new leaf replaces a probe that
+    claimed no row of this batch, so traffic that arrives late still
+    learns its path.  Probe paths are disjoint and leaves merge in the
+    walk's depth-first order, so the result is the one the walk alone
+    returns.
     """
-    n = len(items)
-    lengths = np.array([len(d) for d, _p in items], dtype=np.int64)
-    ports = np.array([p for _d, p in items], dtype=np.int64)
-    maxlen = int(lengths.max()) if n else 0
-    if maxlen == 0:
-        mat = np.zeros((n, 0), np.uint8)
-    elif bool((lengths == maxlen).all()):
-        mat = (
-            np.frombuffer(b"".join(d for d, _p in items), np.uint8)
-            .reshape(n, maxlen)
-            .copy()
-        )
-    else:
-        mat = np.zeros((n, maxlen), np.uint8)
-        for i, (data, _p) in enumerate(items):
-            if data:
-                mat[i, : len(data)] = np.frombuffer(data, np.uint8)
+    if not isinstance(items, PacketBatch):
+        items = _batch_of(items)
+    mat, lengths, ports = items.mat, items.lengths, items.ports
+    n, maxlen = mat.shape
     # Depth-first path of decisions -> (group key, chain, terminal, rows).
     # The walk pops children in descending (vbytes, tag) order and closes
     # a selector-less header's count splits in ascending order: sorted
@@ -365,18 +337,25 @@ def classify(np, items, header_types, linkage, first_header, probes=None):
             extract = extractors[key] = _field_extractor(np, htype, off, field)
         return key, extract
 
+    idle: List[int] = []  # probes that claimed no row of this batch
+
     def close(path, checks, extent, chain, terminal, rows):
         leaf = ((tuple((c[0], c[3]) for c in chain), terminal), chain, terminal)
         leaves[path] = leaf + (rows,)
-        if probes is not None and len(probes) < MAX_PROBES:
+        if probes is None:
+            return
+        if len(probes) < MAX_PROBES:
             probes.append((path, checks, extent, leaf))
+        elif idle:
+            probes[idle.pop(0)] = (path, checks, extent, leaf)
 
     rows = np.arange(n, dtype=np.int64)
     if probes:
         columns: Dict[tuple, object] = {}
         free = np.ones(n, bool)
-        for path, checks, extent, leaf in probes:
+        for slot, (path, checks, extent, leaf) in enumerate(probes):
             if extent > maxlen:
+                idle.append(slot)
                 continue
             hit = lengths >= extent
             for fkey, extract, value in checks:
@@ -388,6 +367,8 @@ def classify(np, items, header_types, linkage, first_header, probes=None):
             if claimed.size:
                 leaves[path] = leaf + (claimed,)
                 free &= ~hit
+            else:
+                idle.append(slot)
         rows = np.flatnonzero(free)
     pending = [(first_header, 0, (), rows, (), ())]
     while pending:
@@ -1222,7 +1203,7 @@ class _Exec:
     at compile time -- so a site holds only the actions its table's
     entries and default can run."""
 
-    __slots__ = ("table", "key_getters", "dispatch", "kernels", "validity",
+    __slots__ = ("table", "key_getters", "fits", "dispatch", "kernels", "validity",
                  "step", "counts")
 
     def resolve(self, entry, ctx):
@@ -1363,6 +1344,12 @@ def _bind_site(ex: _Exec, table, table_name, ctx: _Ctx, sp: _SigPlan):
         _make_key_getter(kf.ref, nb, ctx)
         for kf, nb in zip(table.key, field_bytes)
     )
+    # A header field no wider than its key part never needs the batch
+    # index's oversize guard; a metadata column might.
+    ex.fits = tuple(
+        not kf.ref.startswith("meta.") and ctx.recipes[kf.ref][2] <= kf.width
+        for kf in table.key
+    )
     ex.dispatch = None
     ex.kernels = {}
     ex.counts = False  # a count_and_mark kernel compiled here
@@ -1490,18 +1477,22 @@ def _fire_arm(ex, pc, rows, stats, np) -> None:
     stats.account_batch(lookups=count, actions_run=count)
     some = None if count == pc.m else rows
     cols = [getter(pc, some) for getter in ex.key_getters]
-    idx, entries = ex.table.lookup_batch(
-        np, cols, _sel(pc.get("meta.packet_length"), some)
+    table = ex.table
+    missed = table.miss_count
+    idx, entries = table.lookup_batch(
+        np, cols, _sel(pc.get("meta.packet_length"), some), ex.fits
     )
+    missed = table.miss_count - missed
     slot_of_rank, slots, default = ex.dispatch[2]
-    miss = idx < 0
-    if miss.any():
+    if missed:
         kernel, columns = default
+        if missed == count:
+            kernel(pc, rows, columns)
+            return
+        miss = idx < 0
         kernel(pc, rows[miss], columns)
         hit = ~miss
         rows, idx = rows[hit], idx[hit]
-        if rows.size == 0:
-            return
     if slot_of_rank is None:
         _run_slot(slots[0], pc, rows, idx, entries)
     else:
@@ -1523,7 +1514,7 @@ def _note_drops(device, reason, count: int) -> None:
     device.note_drop(reason, count)
 
 
-def _run_group(sp: _SigPlan, plan, pc, rows_global, outputs, device):
+def _run_group(sp: _SigPlan, plan, pc, rows_global, parts, device):
     np = pc.np
     drop = pc.get("meta.drop")  # the intrinsic default: 0 on every row
     masked = pc.drop_writes
@@ -1572,19 +1563,19 @@ def _run_group(sp: _SigPlan, plan, pc, rows_global, outputs, device):
     egress_dead = int(survivors.size - final.size)
     if egress_dead:
         _note_drops(device, DropReason.EGRESS_ACTION, egress_dead)
-    _emit_rows(sp, pc, final, rows_global, outputs, device, plan.deparser)
+    _emit_rows(sp, pc, final, rows_global, parts, device, plan.deparser)
 
 
-def _emit_rows(sp, pc, final, rows_global, outputs, device, deparser):
+def _emit_rows(sp, pc, final, rows_global, parts, device, deparser):
     """Scatter dirty columns, zero pad bits, splice pushed INT records,
-    and emit survivors.
+    and hand the survivors on as matrix rows.
 
     Row ``r`` of the byte matrix is the original packet with its
     parsed prefix rewritten in place, so the first ``lengths[r]`` bytes
     of the row are exactly what scalar ``Packet.emit`` produces; a row
     that ran ``push_int`` additionally gets its record block inserted
-    at ``sp.ctx.push_at``.  The survivors leave as slices of ``tobytes()``
-    images.
+    at ``sp.ctx.push_at``.  Each block of survivors joins ``parts`` as
+    ``(batch rows, matrix, lengths, egress ports, to_cpu)``.
     """
     if final.size == 0:
         return
@@ -1594,7 +1585,7 @@ def _emit_rows(sp, pc, final, rows_global, outputs, device, deparser):
         scatter(pc.mat, pc.cols[ref], _ALL)
     for byte_index, mask in sp.pad_fixups:
         pc.mat[:, byte_index] &= mask
-    ports = pc.get("meta.egress_spec")
+    ports = pc.get("meta.egress_spec").astype(np.int64)
     to_cpu = pc.get("meta.to_cpu") != 0
     device.packets_out += int(final.size)
     device.punted += int(np.count_nonzero(to_cpu[final]))
@@ -1610,33 +1601,47 @@ def _emit_rows(sp, pc, final, rows_global, outputs, device, deparser):
         grown = final[pushed[final]]
         final = final[~pushed[final]]
         at = sp.ctx.push_at
-        spliced = np.concatenate(
-            (pc.mat[grown, :at], block[grown], pc.mat[grown, at:]), axis=1
-        )
-        _emit_image(
-            spliced, pc.lengths[grown] + block.shape[1], rows_global[grown],
-            ports[grown], to_cpu[grown], outputs,
-        )
-    whole = final.size == pc.m
-    _emit_image(
-        pc.mat if whole else pc.mat[final],
-        pc.lengths if whole else pc.lengths[final],
-        rows_global[final], ports[final], to_cpu[final], outputs,
-    )
+        parts.append((
+            rows_global[grown],
+            np.concatenate(
+                (pc.mat[grown, :at], block[grown], pc.mat[grown, at:]), axis=1
+            ),
+            pc.lengths[grown] + block.shape[1], ports[grown], to_cpu[grown],
+        ))
+        if final.size == 0:
+            return
+    if final.size == pc.m:
+        parts.append((rows_global, pc.mat, pc.lengths, ports, to_cpu))
+    else:
+        parts.append((
+            rows_global[final], pc.mat[final], pc.lengths[final],
+            ports[final], to_cpu[final],
+        ))
 
 
-def _emit_image(mat, lengths, indices, ports, to_cpu, outputs) -> None:
-    """One ``PortOut`` per row of ``mat``: its first ``lengths`` bytes."""
-    from repro.dp.frontdoor import PortOut
-
-    image = mat.tobytes()
-    stride = mat.shape[1]
-    start = 0
-    for index, port, length, cpu in zip(
-        indices.tolist(), ports.tolist(), lengths.tolist(), to_cpu.tolist()
-    ):
-        outputs[index] = PortOut(port, image[start:start + length], cpu)
-        start += stride
+def _assemble(np, batch, parts) -> PacketBatch:
+    """The output batch: every part's rows at their place in ``batch``
+    (rows ascend within a part), under the input rows' ``index``."""
+    if len(parts) == 1:
+        rows, mat, lengths, ports, to_cpu = parts[0]
+        return PacketBatch(np, mat, lengths, ports, batch.index[rows], to_cpu)
+    alive = np.zeros(len(batch), bool)
+    for part in parts:
+        alive[part[0]] = True
+    slot = np.cumsum(alive) - 1
+    count = int(slot[-1]) + 1
+    width = max((part[1].shape[1] for part in parts), default=0)
+    mat = np.zeros((count, width), np.uint8)
+    lengths = np.empty(count, np.int64)
+    ports = np.empty(count, np.int64)
+    to_cpu = np.empty(count, bool)
+    for rows, part_mat, part_lengths, part_ports, part_cpu in parts:
+        at = slot[rows]
+        mat[at, :part_mat.shape[1]] = part_mat
+        lengths[at] = part_lengths
+        ports[at] = part_ports
+        to_cpu[at] = part_cpu
+    return PacketBatch(np, mat, lengths, ports, batch.index[alive], to_cpu)
 
 
 # --------------------------------------------------------------------------
@@ -1697,23 +1702,32 @@ MIN_BATCH_ROWS = 8
 MAX_PROBES = 8
 
 
-def try_run_batch(core, items, stamps=None) -> Optional[List[object]]:
-    """Run a whole ``(data, port)`` batch columnar.
+def try_run_batch(core, packets, stamps=None):
+    """Run a whole :class:`PacketBatch` columnar.
 
     ``stamps`` are the rows' INT ingress timestamps (ns), read by the
     front door when the batch entered; ``None`` when the device has no
-    INT clock.  Returns the per-row ``PortOut | None`` outputs list, or
-    ``None`` when the batch should run on the scalar loop instead (no
-    NumPy, unsupported device state, too few rows to amortize the
-    column build, nothing vectorizable in it, or a ``count_and_mark``
-    table that two groups, or a group and a peeled row, could reach).
+    INT clock.  Returns the batch of surviving rows, each under its
+    input ``index`` -- a group's rewritten matrix rows as they are, a
+    peeled row's scalar output written back at its place -- or ``None``
+    when the batch should run on the scalar loop instead (no NumPy,
+    unsupported device state, too few rows to amortize the column
+    build, nothing vectorizable in it, or a ``count_and_mark`` table
+    that two groups, or a group and a peeled row, could reach).  Given
+    ``(data, port)`` pairs instead, it answers the per-row
+    ``PortOut | None`` list.
     """
     np = _numpy()
     if np is None:
         return None
-    n = len(items)
-    if n == 0:
-        return []
+    if not isinstance(packets, PacketBatch):
+        if len(packets) < MIN_BATCH_ROWS:
+            return None
+        from repro.dp.frontdoor import port_outputs
+
+        out = try_run_batch(core, _batch_of(packets), stamps)
+        return None if out is None else port_outputs(out, len(packets))
+    n = len(packets)
     if n < MIN_BATCH_ROWS:
         return None
     device = core.device
@@ -1728,7 +1742,7 @@ def try_run_batch(core, items, stamps=None) -> Optional[List[object]]:
     if plan.tm is not None and plan.tm.occupancy() != 0:
         return None  # leftover TM state: keep the scalar path honest
     mat, lengths, ports, groups, peel = classify(
-        np, items, prog.header_types, prog.linkage, prog.first_header,
+        np, packets, prog.header_types, prog.linkage, prog.first_header,
         prog.probes,
     )
     runnable = []
@@ -1748,7 +1762,7 @@ def try_run_batch(core, items, stamps=None) -> Optional[List[object]]:
     counted = [id(ex.table) for sp, _ in runnable for ex in sp.execs if ex.counts]
     if counted and (peel_arrays or len(set(counted)) < len(counted)):
         return None  # a counter must see its rows in batch order
-    outputs: List[object] = [None] * n
+    parts: List[tuple] = []
     stamp_col = None
     if stamps is not None:
         stamp_col = np.array([stamp & _MASK64 for stamp in stamps], np.uint64)
@@ -1761,10 +1775,29 @@ def try_run_batch(core, items, stamps=None) -> Optional[List[object]]:
         device.packets_in += pc.m
         device.clock += pc.m
         device._packet_bytes.observe_many(pc.lengths.tolist())
-        _run_group(sp, plan, pc, rows, outputs, device)
+        _run_group(sp, plan, pc, rows, parts, device)
     if peel_arrays:
-        from repro.dp.frontdoor import run_scalar_rows
+        parts.append(_run_peeled(np, core, packets, peel_arrays, stamps))
+    return _assemble(np, packets, parts)
 
-        peeled = np.sort(np.concatenate(peel_arrays))
-        run_scalar_rows(core, items, peeled.tolist(), outputs, stamps)
-    return outputs
+
+def _run_peeled(np, core, packets, peel_arrays, stamps):
+    """The peeled rows through the scalar loop, as ``bytes``; their
+    survivors come back as one part for :func:`_assemble`."""
+    from repro.dp.frontdoor import run_scalar_rows
+
+    peeled = np.sort(np.concatenate(peel_arrays))
+    rows = peeled.tolist()
+    items = dict(zip(rows, packets.take(peeled).pairs()))
+    outputs: Dict[int, object] = {}
+    run_scalar_rows(core, items, rows, outputs, stamps)
+    kept = [row for row in rows if outputs[row] is not None]
+    sent = PacketBatch.from_frames(
+        [outputs[row].data for row in kept],
+        [outputs[row].port for row in kept],
+        to_cpu=[outputs[row].to_cpu for row in kept],
+    )
+    return (
+        np.array(kept, np.int64), sent.mat, sent.lengths, sent.ports,
+        sent.to_cpu,
+    )

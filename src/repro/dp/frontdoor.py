@@ -9,17 +9,22 @@ That lives here once, parameterized by the device's
 :func:`inject_batch` is the amortized path: hooks and the compiled
 plan resolve once per batch, the per-packet tracer checks disappear
 when tracing is off, and each packet's metadata is one dict copy of
-the device's merged defaults template.
+the device's merged defaults template.  Its native form is a
+:class:`~repro.dp.batch.PacketBatch` in and the batch of survivors
+out, so a fabric hop hands the next one its byte matrix; ``(data,
+port)`` pairs in and one :class:`PortOut` slot per pair out is the
+adapter at the edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional
 
 # Loaded here rather than at the first batch: compiling the module from
 # source on top of a fully built fleet is what set a process's peak RSS.
 from repro.dp import columnar
+from repro.dp.batch import PacketBatch
 from repro.dp.core import DataplaneCore
 from repro.dp.exec import PipelineOutcome
 from repro.dp.hooks import NULL_HOOKS, ProfileHooks, resolve_hooks
@@ -163,14 +168,14 @@ def inject_multi(core: DataplaneCore, data: bytes, port: int = 0):
     return finish_multi(core, hooks, core.device.tracer, outcome)
 
 
-def inject_batch(
-    core: DataplaneCore,
-    trace: Iterable[Tuple[bytes, int]],
-    meter=None,
-) -> BatchResult:
-    """Push a ``(data, port)`` trace through, amortizing the front door.
+def inject_batch(core: DataplaneCore, trace, meter=None):
+    """Push a batch through, amortizing the front door.
 
-    Equivalent packet-for-packet to N :func:`inject` calls.  With a
+    ``trace`` is a :class:`~repro.dp.batch.PacketBatch` -- the answer
+    is then the batch of surviving rows, each under its input
+    ``index`` -- or ``(data, port)`` pairs, answered by a
+    :class:`BatchResult` with one slot per pair.  Either way it is
+    equivalent packet-for-packet to N :func:`inject` calls.  With a
     tracer attached each packet still gets its own trace (begin/end
     must bracket each packet), so the batch simply loops ``inject``;
     otherwise hooks, plan, metadata template, and serializer resolve
@@ -179,26 +184,55 @@ def inject_batch(
     per-packet loop makes -- whichever path then runs the row.
     """
     device = core.device
+    batched = isinstance(trace, PacketBatch)
+    if not batched and not isinstance(trace, list):
+        trace = list(trace)
     if device.tracer is not None:
-        return BatchResult([inject(core, data, port, meter) for data, port in trace])
+        outputs = [
+            inject(core, data, port, meter)
+            for data, port in (trace.pairs() if batched else trace)
+        ]
+    else:
+        core.plan()  # compile outside the per-packet loop
+        int_clock = getattr(device, "int_clock", None)
+        stamps = None
+        if int_clock is not None:
+            stamps = [int(int_clock.now() * 1e9) for _ in range(len(trace))]
+        # Columnar fast path: homogeneous runs execute vectorized, with
+        # per-packet fallback for divergent packets.  Instrumented runs
+        # (profiler / meter) stay on the scalar loop, whose hook points
+        # the instruments were written against.
+        if core.columnar_enabled and meter is None and device.profiler is None:
+            out = columnar.try_run_batch(core, trace, stamps)
+            if out is not None:
+                return out if batched else BatchResult(out)
+        outputs = [None] * len(trace)
+        run_scalar_rows(
+            core, trace.pairs() if batched else trace, range(len(trace)),
+            outputs, stamps, meter,
+        )
+    if not batched:
+        return BatchResult(outputs)
+    kept = [
+        (index, out) for index, out in zip(trace.tolist(), outputs)
+        if out is not None
+    ]
+    return PacketBatch.from_frames(
+        [out.data for _index, out in kept], [out.port for _index, out in kept],
+        [index for index, _out in kept], [out.to_cpu for _index, out in kept],
+    )
 
-    core.plan()  # compile outside the per-packet loop
-    items = trace if isinstance(trace, list) else list(trace)
-    int_clock = getattr(device, "int_clock", None)
-    stamps = None
-    if int_clock is not None:
-        stamps = [int(int_clock.now() * 1e9) for _ in items]
-    # Columnar fast path: homogeneous runs execute vectorized, with
-    # per-packet fallback for divergent packets.  Instrumented runs
-    # (profiler / meter) stay on the scalar loop, whose hook points
-    # the instruments were written against.
-    if core.columnar_enabled and meter is None and device.profiler is None:
-        columnar_outputs = columnar.try_run_batch(core, items, stamps)
-        if columnar_outputs is not None:
-            return BatchResult(columnar_outputs)
-    outputs: List[Optional[PortOut]] = [None] * len(items)
-    run_scalar_rows(core, items, range(len(items)), outputs, stamps, meter)
-    return BatchResult(outputs)
+
+def port_outputs(out: PacketBatch, n: int) -> List[Optional[PortOut]]:
+    """A device's output batch as ``n`` per-row slots: the
+    :class:`PortOut` of each surviving row at its ``index``, ``None``
+    where the row was dropped."""
+    outputs: List[Optional[PortOut]] = [None] * n
+    for index, port, data, cpu in zip(
+        out.tolist(), out.tolist("ports"), out.frames(), out.tolist("to_cpu")
+    ):
+        outputs[index] = PortOut(port, data, cpu)
+    return outputs
 
 
 def run_scalar_rows(core, items, indices, outputs, stamps=None, meter=None):

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 from repro.compiler.lowering import action_from_json, builtin_actions, lower_table
 from repro.dp import frontdoor
 from repro.dp.core import IpsaCore
-from repro.dp.frontdoor import PACKET_BYTES_BOUNDS, BatchResult, PortOut
+from repro.dp.frontdoor import PACKET_BYTES_BOUNDS, PortOut
 from repro.ipsa.pipeline import ElasticPipeline, SelectorConfig
 from repro.net.headers import FieldDef, HeaderType
 from repro.net.linkage import HeaderLinkageTable
@@ -313,9 +313,11 @@ class IpsaSwitch:
         group produced (unicast packets return a one-element list)."""
         return frontdoor.inject_multi(self.dp, data, port)
 
-    def inject_batch(self, trace, meter=None) -> BatchResult:
-        """Push a ``(data, port)`` trace through, amortizing the front
-        door (see :func:`repro.dp.frontdoor.inject_batch`)."""
+    def inject_batch(self, trace, meter=None):
+        """Push a :class:`~repro.dp.batch.PacketBatch` (answered by the
+        batch of survivors) or a ``(data, port)`` trace (answered by a
+        :class:`~repro.dp.frontdoor.BatchResult`) through, amortizing the front door (see
+        :func:`repro.dp.frontdoor.inject_batch`)."""
         return frontdoor.inject_batch(self.dp, trace, meter)
 
     # -- queued intake (back-pressure semantics) -----------------------------

@@ -147,6 +147,9 @@ class IntCollector:
         for tag in (0x0800, 0x86DD):
             nxt = "ipv4" if tag == 0x0800 else "ipv6"
             self._linkage.add_link("int_shim", nxt, tag)
+        # Parse paths learned by the batch walk; the schema above never
+        # changes, so they stay valid for the collector's lifetime.
+        self._probes: List[tuple] = []
 
     # -- intake ------------------------------------------------------------
 
@@ -183,8 +186,10 @@ class IntCollector:
 
         The outcome -- records, path-change events, histograms,
         stripped bytes -- is that of one :meth:`ingest` per item, but
-        the parse is one batch walk (:func:`repro.dp.columnar.classify`):
-        rows group by (shim present, ``hop_count``), each group's hop
+        the parse is one batch walk (:func:`repro.dp.columnar.classify`,
+        with the collector's own learned probes, so a warm round skips
+        the parse graph): rows group by (shim present, ``hop_count``),
+        each group's hop
         stacks decode as one big-endian NumPy view and the shim strips
         by slicing.  Without NumPy, or when the walk cannot type some
         row (a short or malformed frame), the batch loops
@@ -229,7 +234,7 @@ class IntCollector:
         overall when some row needs the per-packet parser."""
         mat, lengths, _ports, groups, peel = columnar.classify(
             np, [(data, 0) for data, _node, _port in items],
-            self._types, self._linkage, "ethernet",
+            self._types, self._linkage, "ethernet", self._probes,
         )
         if peel:
             return None
@@ -245,13 +250,10 @@ class IntCollector:
             # The shim follows Ethernet, whose last field is the
             # EtherType: the strip keeps everything but the shim, with
             # orig_ethertype (the shim's first two bytes) in its place.
-            stripped = np.concatenate(
+            stripped = columnar.PacketBatch(np, np.concatenate(
                 (mat[rows, :off - 2], mat[rows, off:off + 2], mat[rows, end:]),
                 axis=1,
-            )
-            image = stripped.tobytes()
-            stride = stripped.shape[1]
-            cut = lengths[rows] - (end - off)
+            ), lengths[rows] - (end - off), None, None).frames()
             hops, e2es = _decode_stacks(np, mat[rows, end - vbytes:end])
             if "ipv4" in layout:
                 at = layout["ipv4"][0] + 12  # src_addr, then dst_addr
@@ -267,13 +269,10 @@ class IntCollector:
             else:  # keyed by the restored EtherType
                 orig = mat[rows, off].astype(np.int64) << 8 | mat[rows, off + 1]
                 row_flows = [f"ethertype:{value:#06x}" for value in orig.tolist()]
-            for slot, (index, length, flow, row_hops, e2e) in enumerate(
-                zip(rows.tolist(), cut.tolist(), row_flows, hops, e2es)
+            for index, data, flow, row_hops, e2e in zip(
+                rows.tolist(), stripped, row_flows, hops, e2es
             ):
-                start = slot * stride
-                decoded[index] = (
-                    flow, row_hops, e2e, image[start:start + length]
-                )
+                decoded[index] = (flow, row_hops, e2e, data)
         return decoded
 
     def observe_strip(

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Union
 from repro.compiler.lowering import builtin_actions, lower_action, lower_table
 from repro.dp import frontdoor
 from repro.dp.core import PisaCore
-from repro.dp.frontdoor import PACKET_BYTES_BOUNDS, BatchResult, PortOut
+from repro.dp.frontdoor import PACKET_BYTES_BOUNDS, PortOut
 from repro.obs.clock import Clock
 from repro.obs.metrics import MetricsRegistry, Sample
 from repro.obs.prof import Profiler
@@ -252,9 +252,11 @@ class PisaSwitch:
             raise RuntimeError("switch has no design loaded")
         return frontdoor.inject(self.dp, data, port)
 
-    def inject_batch(self, trace) -> BatchResult:
-        """Push a ``(data, port)`` trace through, amortizing the front
-        door (see :func:`repro.dp.frontdoor.inject_batch`)."""
+    def inject_batch(self, trace):
+        """Push a :class:`~repro.dp.batch.PacketBatch` (answered by the
+        batch of survivors) or a ``(data, port)`` trace (answered by a
+        :class:`~repro.dp.frontdoor.BatchResult`) through, amortizing the front door (see
+        :func:`repro.dp.frontdoor.inject_batch`)."""
         if self.parser is None or self.pipeline is None:
             raise RuntimeError("switch has no design loaded")
         return frontdoor.inject_batch(self.dp, trace)

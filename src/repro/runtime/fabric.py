@@ -32,13 +32,21 @@ loops_cut`` holds on the registry as it does on the stats.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.dp.batch import PacketBatch
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.controller import Controller
-from repro.runtime.walk import InFlight, WalkResult, walk
+from repro.runtime.walk import (
+    Exit,
+    InFlight,
+    Leg,
+    WalkResult,
+    flights_of,
+    legs_of,
+    walk,
+)
 from repro.runtime.workers import (
     TRAFFIC_CHUNK,
     DeviceWorker,
@@ -447,41 +455,52 @@ class Fabric:
         path.
         """
         items = list(items)
-        origins = Counter(node for node, _data, _port in items)
+        origins: Dict[str, List[int]] = {}
+        for index, item in enumerate(items):
+            origins.setdefault(item[0], []).append(index)
         for node in origins:
             self.node(node)  # an unknown origin fails before any hop runs
-        for node, count in origins.items():
-            self.metrics.counter("fabric.injected", node=node).inc(count)
+        for node, rows in origins.items():
+            self.metrics.counter("fabric.injected", node=node).inc(len(rows))
         self.stats.injected += len(items)
         results: List[Optional[Delivery]] = [None] * len(items)
-        flights = [InFlight(index, *item) for index, item in enumerate(items)]
-        while flights:
-            groups: Dict[DeviceWorker, List[InFlight]] = {}
-            for flight in flights:
-                groups.setdefault(self._worker_of(flight.node), []).append(flight)
-            flights = []
+        legs = [
+            Leg(node, (), PacketBatch.from_frames(
+                [items[row][1] for row in rows], [items[row][2] for row in rows],
+                rows if len(rows) < len(items) else None,
+            ))
+            for node, rows in origins.items()
+        ]
+        while legs:
+            groups: Dict[DeviceWorker, List[Leg]] = {}
+            for leg in legs:
+                groups.setdefault(self._worker_of(leg.node), []).append(leg)
+            legs = []
             for walked in self._walk_round(groups):
                 self.stats.dropped += len(walked.dropped)
                 self.stats.loops_cut += len(walked.loops)
                 self._deliver(walked.exits, results)
-                flights += walked.handoffs
+                legs += walked.handoffs
         return results
 
     def _walk_round(
-        self, groups: Dict[DeviceWorker, List[InFlight]]
+        self, groups: Dict[DeviceWorker, List[Leg]]
     ) -> List[WalkResult]:
-        """One walk per owning worker.  The in-process worker's list is
-        walked right here, counting into :attr:`metrics`; a shard's is
-        packed into ``worker.inject_batch`` frames of at most
+        """One walk per owning worker.  The in-process worker's legs
+        are walked right here, counting into :attr:`metrics`; a shard's
+        are packed into ``worker.inject_batch`` frames of at most
         ``TRAFFIC_CHUNK`` packets, all posted before any reply is
         gathered."""
         local = groups.pop(self._local, None)
-        replies = self._scatter([
-            (worker, "worker.inject_batch",
-             {"items": pack_flights(flights[at:at + TRAFFIC_CHUNK])})
-            for worker, flights in groups.items()
-            for at in range(0, len(flights), TRAFFIC_CHUNK)
-        ])
+        calls = []
+        for worker, legs in groups.items():
+            flights = flights_of(legs)
+            calls += [
+                (worker, "worker.inject_batch",
+                 {"items": pack_flights(flights[at:at + TRAFFIC_CHUNK])})
+                for at in range(0, len(flights), TRAFFIC_CHUNK)
+            ]
+        replies = self._scatter(calls)
         walked = [
             walk(local, self.nodes, self._wires, self.max_hops, self.metrics)
         ] if local else []
@@ -489,28 +508,31 @@ class Fabric:
             if isinstance(reply, Exception):
                 raise reply
             walked.append(WalkResult(
-                unpack_flights(reply["deliveries"]), unpack_flights(reply["handoffs"]),
+                [
+                    (f.index, f.node, f.port, tuple(f.path), f.data)
+                    for f in unpack_flights(reply["deliveries"])
+                ],
+                legs_of(unpack_flights(reply["handoffs"])),
                 reply["dropped"], reply["loops"],
             ))
         return walked
 
-    def _deliver(self, exits: List[InFlight], results) -> None:
+    def _deliver(self, exits: List[Exit], results) -> None:
         """Packets leaving at an edge, in exit order: one collector
         ingest for all of them, then the :class:`Delivery` each caller
         slot sees."""
         self.stats.delivered += len(exits)
-        datas = [flight.data for flight in exits]
         if self.int_collector is not None:
             ingested = self.int_collector.ingest_batch([
-                (flight.data, flight.node, flight.port) for flight in exits
+                (data, node, port) for _i, node, port, _path, data in exits
             ])
             if self._int_strip:
-                datas = [ingest.stripped for ingest in ingested]
-        for flight, data in zip(exits, datas):
-            results[flight.index] = Delivery(
-                node=flight.node, port=flight.port, data=data,
-                hops=len(flight.path), path=tuple(flight.path),
-            )
+                exits = [
+                    exit[:4] + (ingest.stripped,)
+                    for exit, ingest in zip(exits, ingested)
+                ]
+        for index, node, port, path, data in exits:
+            results[index] = Delivery(node, port, data, len(path), path)
 
     # -- fleet-wide updates ----------------------------------------------------
 

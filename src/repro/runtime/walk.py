@@ -8,6 +8,14 @@ index), each group is one ``switch.inject_batch`` call -- so multi-hop
 traffic rides the columnar fast path -- and survivors are routed
 through ``wires`` into the next wave.
 
+Packets travel as :class:`Leg` s: a :class:`~repro.dp.batch.PacketBatch`
+of the rows bound for one node that share one path so far.  A device
+takes the merged legs at its node as one batch and hands back the
+batch of survivors, which splits by egress port into the next wave's
+legs with array selects -- no packet turns back into ``bytes`` between
+hops.  ``bytes`` come back only for exits and, as :class:`InFlight` s,
+at a shard's frame boundary.
+
 A serial :class:`~repro.runtime.fabric.Fabric` walks every node in one
 call; a :class:`~repro.runtime.workers.DeviceWorker` walks its shard,
 and a packet whose next node it does not own comes back as a handoff.
@@ -23,16 +31,18 @@ wave by wave, ascending index within a wave.  Exceptions raised by
 
 from __future__ import annotations
 
-from operator import attrgetter
+from itertools import repeat
+from operator import attrgetter, itemgetter
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
+from repro.dp.batch import PacketBatch
 from repro.obs.metrics import MetricsRegistry
 
 Wires = Mapping[Tuple[str, int], Tuple[str, int]]
 
 
 class InFlight:
-    """A packet mid-walk: where it is and where it has been.
+    """A packet crossing a shard's frame boundary mid-walk.
 
     ``index`` is the caller's slot for the result; ``node``/``port``
     name the device and ingress port it enters next -- or, once it has
@@ -57,77 +67,134 @@ class InFlight:
         self.path = [] if path is None else path
 
 
+class Leg(NamedTuple):
+    """Packets bound for ``node`` that have traversed ``path``, as one
+    batch whose ``index`` column holds the caller's slots, ascending,
+    and whose ``ports`` are the ingress ports at ``node``."""
+
+    node: str
+    path: Tuple[str, ...]
+    packets: PacketBatch
+
+
+#: An exit row: ``(index, node, egress port, path, data)``.
+Exit = Tuple[int, str, int, Tuple[str, ...], bytes]
+
+
 class WalkResult(NamedTuple):
-    exits: List[InFlight]  # left at an edge port
-    handoffs: List[InFlight]  # next node is not in ``devices``
+    exits: List[Exit]  # left at an edge port, wave by wave
+    handoffs: List[Leg]  # next node is not in ``devices``
     dropped: List[int]  # indices a device dropped
     loops: List[int]  # indices cut at ``max_hops``
 
 
-_BY_INDEX = attrgetter("index")
+_FIRST = itemgetter(0)
+
+
+def legs_of(flights: Iterable[InFlight]) -> List[Leg]:
+    """:class:`InFlight` s as legs: one per node and path, rows in
+    ascending index."""
+    groups: Dict[Tuple[str, Tuple[str, ...]], List[InFlight]] = {}
+    for flight in sorted(flights, key=attrgetter("index")):
+        groups.setdefault((flight.node, tuple(flight.path)), []).append(flight)
+    return [
+        Leg(node, path, PacketBatch.from_frames(
+            [f.data for f in group], [f.port for f in group],
+            [f.index for f in group],
+        ))
+        for (node, path), group in groups.items()
+    ]
+
+
+def flights_of(legs: Iterable[Leg]) -> List[InFlight]:
+    """Legs as :class:`InFlight` s, each with a path list of its own."""
+    return [
+        InFlight(index, leg.node, data, port, list(leg.path))
+        for leg in legs
+        for index, data, port in zip(
+            leg.packets.tolist(), leg.packets.frames(),
+            leg.packets.tolist("ports"),
+        )
+    ]
 
 
 def walk(
-    flights: Iterable[InFlight],
+    legs: Iterable[Leg],
     devices: Mapping[str, object],
     wires: Wires,
     max_hops: int,
     metrics: MetricsRegistry,
 ) -> WalkResult:
-    """Walk ``flights`` wave by wave until each one exits at an edge,
+    """Walk ``legs`` wave by wave until each packet exits at an edge,
     drops, exhausts ``max_hops``, or reaches a node outside ``devices``
     (name -> controller).  Per-hop accounting lands in ``metrics`` once
     per ``(node, port)`` group: ``fabric.hop_forwarded{node,port}``,
     ``fabric.hop_dropped{node}``, ``fabric.delivered{node,port}``,
     ``fabric.loops_cut{node}``."""
     result = WalkResult([], [], [], [])
-    wave = list(flights)
+    wave = list(legs)
     while wave:
-        wave.sort(key=_BY_INDEX)
-        groups: Dict[str, List[InFlight]] = {}
-        for flight in wave:
-            groups.setdefault(flight.node, []).append(flight)
+        exits: List[Leg] = []
+        arrivals: Dict[str, List[Leg]] = {}
+        for leg in sorted(wave, key=_first_index):
+            arrivals.setdefault(leg.node, []).append(leg)
         wave = []
-        exits: List[InFlight] = []
-        for node, group in groups.items():
+        for node, here in arrivals.items():
             controller = devices.get(node)
             if controller is None:
-                result.handoffs.extend(group)
+                result.handoffs.extend(here)
                 continue
-            cut = [f.index for f in group if len(f.path) >= max_hops]
-            if cut:
+            live = [leg for leg in here if len(leg.path) < max_hops]
+            if len(live) < len(here):
+                cut = [
+                    index for leg in here if len(leg.path) >= max_hops
+                    for index in leg.packets.tolist()
+                ]
                 result.loops.extend(cut)
                 metrics.counter("fabric.loops_cut", node=node).inc(len(cut))
-                group = [f for f in group if len(f.path) < max_hops]
-                if not group:
+                if not live:
                     continue
-            outputs = controller.switch.inject_batch(
-                [(f.data, f.port) for f in group]
-            )
-            by_port: Dict[int, List[InFlight]] = {}
-            for flight, out in zip(group, outputs):
-                flight.path.append(node)
-                if out is None:
-                    result.dropped.append(flight.index)
-                else:
-                    flight.data = out.data
-                    by_port.setdefault(out.port, []).append(flight)
-            lost = len(group) - sum(map(len, by_port.values()))
+            packets, origin = PacketBatch.merge([leg.packets for leg in live])
+            out = controller.switch.inject_batch(packets)
+            lost = len(packets) - len(out)
             if lost:
+                kept = set(out.tolist())
+                result.dropped.extend(
+                    index for index in packets.tolist() if index not in kept
+                )
                 metrics.counter("fabric.hop_dropped", node=node).inc(lost)
-            for port, sent in by_port.items():
-                labels = {"node": node, "port": str(port)}
-                metrics.counter("fabric.hop_forwarded", **labels).inc(len(sent))
-                peer = wires.get((node, port))
-                if peer is None:
-                    metrics.counter("fabric.delivered", **labels).inc(len(sent))
-                    for flight in sent:
-                        flight.port = port
-                    exits += sent
-                else:
-                    for flight in sent:
-                        flight.node, flight.port = peer
-                    wave += sent
-        exits.sort(key=_BY_INDEX)
-        result.exits.extend(exits)
+            if origin is None:
+                branches = [(live[0].path, out)]
+            else:  # legs with different paths met here
+                branches = [
+                    (live[k].path, sub)
+                    for k, sub in out.split([origin[i] for i in out.tolist()])
+                ]
+            for path, sub in branches:
+                path += (node,)
+                for port, sent in sub.split(sub.ports):
+                    labels = {"node": node, "port": str(port)}
+                    metrics.counter("fabric.hop_forwarded", **labels).inc(len(sent))
+                    peer = wires.get((node, port))
+                    if peer is None:
+                        metrics.counter("fabric.delivered", **labels).inc(len(sent))
+                        exits.append(Leg(node, path, sent))
+                    else:
+                        wave.append(Leg(peer[0], path, sent.at_port(peer[1])))
+        landed = [
+            row
+            for leg in exits
+            for row in zip(
+                leg.packets.tolist(), repeat(leg.node),
+                leg.packets.tolist("ports"), repeat(leg.path),
+                leg.packets.frames(),
+            )
+        ]
+        if len(exits) > 1:
+            landed.sort(key=_FIRST)
+        result.exits.extend(landed)
     return result
+
+
+def _first_index(leg: Leg) -> int:
+    return int(leg.packets.index[0])

@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.channel import ChannelError, ControlChannel, FrameError, QueueTransport
-from repro.runtime.walk import InFlight, walk
+from repro.runtime.walk import InFlight, flights_of, legs_of, walk
 
 #: Traffic items per ``worker.inject_batch`` frame: bounds frame size
 #: (and peak memory) when a soak ships millions of packets.
@@ -448,11 +448,14 @@ class DeviceWorker:
     # hop landing on a foreign node comes back as a handoff for the owner.
 
     def _cmd_inject_batch(self, payload: dict) -> dict:
-        flights = unpack_flights(payload["items"])
-        walked = walk(flights, self.devices, self.wires, self.max_hops, self.metrics)
+        legs = legs_of(unpack_flights(payload["items"]))
+        walked = walk(legs, self.devices, self.wires, self.max_hops, self.metrics)
         return {
-            "deliveries": pack_flights(walked.exits),
-            "handoffs": pack_flights(walked.handoffs),
+            "deliveries": pack_flights([
+                InFlight(index, node, data, port, list(path))
+                for index, node, port, path, data in walked.exits
+            ]),
+            "handoffs": pack_flights(flights_of(walked.handoffs)),
             "dropped": walked.dropped,
             "loops": walked.loops,
         }

@@ -177,21 +177,23 @@ class _RangeIndexed:
         )
         return True
 
-    def _lookup_ranks(self, np, cols, m):
+    def _lookup_ranks(self, np, cols, m, fits=None):
         """Batched lookup: (entry-rank array with -1 for miss, entries).
-        ``entries`` is the index's own list: one object per version."""
+        ``entries`` is the index's own list: one object per version.
+        ``fits[i]`` marks a column that never exceeds its declared
+        width, so it skips the oversize guard."""
         _version, shape, native, starts, rank, entries = self._batch
         over = None
         if native is None:
             query = _pack_query_records(np, cols, shape[0], m)
         else:
             query = None
-            for col, (width, guarded) in zip(cols, native):
+            for at, (col, (width, guarded)) in enumerate(zip(cols, native)):
                 query = col if query is None else (query << width) | col
-                if guarded:
+                if guarded and not (fits and fits[at]):
                     high = col >> width
                     over = high if over is None else over | high
-        idx = rank[np.searchsorted(starts, query, "right") - 1]
+        idx = rank[starts.searchsorted(query, "right") - 1]
         if over is not None and over.any():
             for row in np.flatnonzero(over).tolist():
                 found = self.lookup(tuple(int(col[row]) for col in cols))
@@ -236,9 +238,9 @@ class ExactEngine(_RangeIndexed):
         items = list(self._entries.items())
         return [(0, items)] if items else []
 
-    def lookup_batch(self, np, cols, m):
+    def lookup_batch(self, np, cols, m, fits=None):
         """Batched :meth:`lookup` of ``m`` rows (see ``_lookup_ranks``)."""
-        return self._lookup_ranks(np, cols, m)
+        return self._lookup_ranks(np, cols, m, fits)
 
     def entries(self) -> List[object]:
         return list(self._entries.values())
@@ -318,10 +320,10 @@ class LpmEngine(_RangeIndexed):
             for plen, bucket in sorted(self._by_len.items(), reverse=True)
         ]
 
-    def lookup_batch(self, np, exact_cols, lpm_col, m):
+    def lookup_batch(self, np, exact_cols, lpm_col, m, fits=None):
         """Batched longest-prefix match of ``m`` rows: one probe, not
         one per prefix length (see ``_lookup_ranks``)."""
-        return self._lookup_ranks(np, [*exact_cols, lpm_col], m)
+        return self._lookup_ranks(np, [*exact_cols, lpm_col], m, fits)
 
     def entries(self) -> List[object]:
         return [e for bucket in self._by_len.values() for e in bucket.values()]

@@ -319,50 +319,64 @@ class Table:
             np, field_bytes, tuple(kf.width for kf in self.key)
         )
 
-    def lookup_batch(self, np, cols, lengths):
+    def lookup_batch(self, np, cols, lengths, fits=None):
         """Vectorized :meth:`lookup` over ``m`` rows.
 
         ``cols[i]`` is the i-th key field's column (``uint64`` array,
         or an ``(hi, lo)`` pair for >64-bit fields); ``lengths`` is the
-        per-row ``packet_length`` column.  Applies the same counter
+        per-row ``packet_length`` column.  ``fits[i]`` (optional) says
+        column ``i`` never exceeds the field's declared width, which
+        spares the index its oversize check.  Applies the same counter
         side effects as ``m`` scalar lookups (table hit/miss counts,
         per-entry hit and byte counters) and returns ``(idx, entries)``
         where ``idx[r] == -1`` means miss (default action) and
-        otherwise indexes ``entries``.
+        otherwise indexes ``entries``.  A batch that all missed, or all
+        hit one entry, costs two reductions of ``idx`` beyond the probe.
         """
         engine = self._engine
         m = len(lengths)
         if engine.kind == "hash":
             idx, entries = self._hash_lookup_rows(np, cols)
         elif engine.kind == "lpm":
-            idx, entries = engine.lookup_batch(np, cols[:-1], cols[-1], m)
+            idx, entries = engine.lookup_batch(np, cols[:-1], cols[-1], m, fits)
         else:
-            idx, entries = engine.lookup_batch(np, cols, m)
-        hit = idx >= 0
-        hits = int(np.count_nonzero(hit))
+            idx, entries = engine.lookup_batch(np, cols, m, fits)
+        if m == 0:
+            return idx, entries
+        low, high = int(idx.min()), int(idx.max())
+        if high < 0:  # every row missed
+            self.miss_count += m
+            return idx, entries
+        if low == high:  # every row hit one entry
+            self.hit_count += m
+            entry = entries[low]
+            entry.hits += m
+            entry.bytes += int(lengths.sum())
+            return idx, entries
+        ranks = idx
+        if low < 0:
+            hit = idx >= 0
+            ranks, lengths = idx[hit], lengths[hit]
+        hits = int(ranks.size)
         self.hit_count += hits
         self.miss_count += m - hits
-        if hits:
-            ranks = idx
-            if hits < m:
-                ranks, lengths = idx[hit], lengths[hit]
-            if not (ranks != ranks[0]).any():  # every hit on one entry
-                entry = entries[int(ranks[0])]
-                entry.hits += hits
-                entry.bytes += int(lengths.sum())
-                return idx, entries
-            # Only the entries this batch touched: never a table walk.
-            counts = np.bincount(ranks)
-            byte_sums = np.bincount(ranks, weights=lengths)
-            touched = np.flatnonzero(counts)
-            for rank, count, nbytes in zip(
-                touched.tolist(),
-                counts[touched].tolist(),
-                byte_sums[touched].astype(np.int64).tolist(),
-            ):
-                entry = entries[rank]
-                entry.hits += count
-                entry.bytes += nbytes
+        if not (ranks != ranks[0]).any():  # every hit on one entry
+            entry = entries[int(ranks[0])]
+            entry.hits += hits
+            entry.bytes += int(lengths.sum())
+            return idx, entries
+        # Only the entries this batch touched: never a table walk.
+        counts = np.bincount(ranks)
+        byte_sums = np.bincount(ranks, weights=lengths)
+        touched = np.flatnonzero(counts)
+        for rank, count, nbytes in zip(
+            touched.tolist(),
+            counts[touched].tolist(),
+            byte_sums[touched].astype(np.int64).tolist(),
+        ):
+            entry = entries[rank]
+            entry.hits += count
+            entry.bytes += nbytes
         return idx, entries
 
     def batch_entries(self):

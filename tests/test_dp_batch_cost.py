@@ -29,7 +29,9 @@ on the ``dev_srv6_mix`` shape: whatever share of the SRH rows visit the
 node's SID, the burst costs the same calls and peels no row.  The probe
 test does it for C3's ``count_and_mark``: whatever share of the rows
 belong to probed flows, the counting costs the same calls and peels no
-row.
+row.  The line test pins a whole fabric burst: 64 packets through four
+hops are one ``PacketBatch`` from ``send_many`` to the deliveries, so
+the walker adds a per-burst fixed cost, not a per-hop re-listing.
 """
 
 import random
@@ -51,21 +53,22 @@ ROUTED_NET = parse_ipv4("10.2.0.0")
 PREFIX_LENGTHS = range(18, 31)
 
 #: Calls one burst may cost on the 2 048-route, many-flow mix: the
-#: measured 2 160 (CPython 3.11, NumPy 2.4) + 15%.  The parent of the
+#: measured 1 617 (CPython 3.11, NumPy 2.4) + 15%.  The parent of the
 #: per-action dispatch measured 4 764 on the same burst (4 094 with 16
 #: routes, 3 930 with one flow per family), the parent of the
-#: one-probe LPM index 2 779, and the parent of the byte-window codec
-#: and the learned classify probes 2 247.
-CALL_BUDGET = 2484
+#: one-probe LPM index 2 779, the parent of the byte-window codec and
+#: the learned classify probes 2 247, and the parent of ``PacketBatch``
+#: (whose ragged matrix build made two calls per row) 2 160.
+CALL_BUDGET = 1860
 
 #: Calls one warm 256-row ``dev_srv6_mix`` burst may cost, whatever its
-#: End:transit ratio: the measured 3 299 (CPython 3.11, NumPy 2.4) + 15%.
-SRV6_CALL_BUDGET = 3794
+#: End:transit ratio: the measured 2 453 (CPython 3.11, NumPy 2.4) + 15%.
+SRV6_CALL_BUDGET = 2821
 
 #: Calls one warm 256-row burst through C3's flow probe may cost,
-#: whatever its probed share: the measured 1 639 (CPython 3.11, NumPy
+#: whatever its probed share: the measured 1 123 (CPython 3.11, NumPy
 #: 2.4) + 15%.  Before the kernel every IPv4 row peeled.
-PROBE_CALL_BUDGET = 1885
+PROBE_CALL_BUDGET = 1291
 
 
 def _routes(count, lengths=PREFIX_LENGTHS):
@@ -126,11 +129,8 @@ def _many_flows():
     )
 
 
-def _calls_per_burst(switch, items):
-    """Python + C calls of one warm ``inject_batch`` (the first two
-    compile the signature plans and build the batch indexes)."""
-    for _ in range(2):
-        assert switch.inject_batch(items).forwarded == len(items)
+def _count_calls(run):
+    """Python + C calls of one ``run()``, and what it returned."""
     calls = 0
 
     def count(_frame, event, _arg):
@@ -140,9 +140,18 @@ def _calls_per_burst(switch, items):
 
     sys.setprofile(count)
     try:
-        result = switch.inject_batch(items)
+        result = run()
     finally:
         sys.setprofile(None)
+    return calls, result
+
+
+def _calls_per_burst(switch, items):
+    """Python + C calls of one warm ``inject_batch`` (the first two
+    compile the signature plans and build the batch indexes)."""
+    for _ in range(2):
+        assert switch.inject_batch(items).forwarded == len(items)
+    calls, result = _count_calls(lambda: switch.inject_batch(items))
     assert result.forwarded == len(items)
     assert switch.dp._columnar is not None  # it ran on the fast path
     return calls
@@ -187,8 +196,8 @@ def test_calls_stay_within_the_absolute_budget():
 INT_BURST = 64
 
 #: Calls one warm 64-row INT transit burst may cost, whatever the hop
-#: count: the measured 1 105 (CPython 3.11, NumPy 2.4) + 15%.
-INT_CALL_BUDGET = 1271
+#: count: the measured 946 (CPython 3.11, NumPy 2.4) + 15%.
+INT_CALL_BUDGET = 1088
 
 
 def _int_transit(hops):
@@ -339,3 +348,31 @@ def test_probe_calls_do_not_depend_on_the_probed_share(monkeypatch):
     assert peeled == []
     assert many == few
     assert few <= PROBE_CALL_BUDGET
+
+
+LINE_BURST = 64
+
+#: Calls one warm 64-packet burst through the 4-node line may cost, from
+#: ``send_many`` at the first node to the deliveries at the last: the
+#: measured 2 883 (CPython 3.11, NumPy 2.4) + 15%.  The parent of the
+#: one-batch walker, which turned the packets back into ``bytes`` and
+#: re-listed them at every hop, measured 5 496 on the same burst.
+LINE_CALL_BUDGET = 3315
+
+
+def test_line_burst_calls_stay_within_the_budget():
+    """A fabric burst is one batch from ingress to exit: its calls are
+    the four device hops plus a per-burst fixed cost, with no per-hop
+    re-listing of the packets."""
+    from tests.test_runtime_walk import LINE, flows, line_fabric
+
+    fabric = line_fabric()
+    trace = flows(LINE_BURST)
+    for _ in range(2):
+        assert all(d is not None for d in fabric.send_many(LINE[0], trace))
+    calls, got = _count_calls(lambda: fabric.send_many(LINE[0], trace))
+    assert all(d is not None and d.path == LINE for d in got)
+    assert all(c.switch.dp._columnar is not None for c in fabric.nodes.values())
+    print(f"calls per {LINE_BURST}-packet burst through the {len(LINE)}-node "
+          f"line: {calls} (budget {LINE_CALL_BUDGET})")
+    assert calls <= LINE_CALL_BUDGET

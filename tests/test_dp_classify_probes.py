@@ -166,6 +166,26 @@ def test_probe_list_stays_under_its_cap():
     assert len(probes) == columnar.MAX_PROBES
 
 
+def test_a_full_probe_list_learns_late_traffic():
+    """Plain IPv4 and INT hop counts 0-6 fill the cap.  Hop count 9
+    arrives later beside every other kind but hop count 6: it replaces
+    the one probe that claimed no row of its batch, so the next such
+    batch is all probes and no parse graph."""
+    v4 = ipv4_packet("10.1.0.1", "10.2.0.1")
+    probes = []
+    for hops in range(7):
+        items = [(_int(v4, hops), 0)] * 8 + [(v4, 1)]
+        assert _walk(items, probes) == _walk(items, None), hops
+    assert len(probes) == columnar.MAX_PROBES
+    kinds = [9, 0, 1, 2, 3, 4, 5] * 2
+    late = [(_int(v4, hops), i % 2) for i, hops in enumerate(kinds)] + [(v4, 0)]
+    assert _walk(late, probes) == _walk(late, None)
+    assert len(probes) == columnar.MAX_PROBES
+    warm = _CountingLinkage()
+    assert _walk(late, probes, warm) == _walk(late, None)
+    assert warm.lookups == 0
+
+
 def _c2_twins():
     """Two devices running the base design, which does not parse SRH."""
     from repro.bench.scenarios import make_ipsa_controller

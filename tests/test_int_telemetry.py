@@ -213,6 +213,50 @@ class TestIngestBatch:
         assert collectors[0].records == collectors[1].records
         assert len(collectors[1].records) == 5
 
+    def test_a_warm_round_skips_the_parse_walk(self, monkeypatch):
+        """The collector keeps its own learned probes, so its second
+        delivery round of the same mix is claimed by probes without a
+        look at the parse graph, and records and stripped bytes equal
+        those of a collector that walks every round."""
+        from repro.dp import columnar
+        from repro.obs.intcol import IntCollector
+        from repro.workloads import ipv6_packet
+
+        if columnar._numpy() is None:
+            pytest.skip("the batch walk needs NumPy")
+
+        items = []
+        for i in range(4):
+            items += [
+                (instrumented([1, 2, 3], sport=1024 + i), "sw2", 3),
+                (ipv4_packet("10.1.0.9", "10.2.0.1", sport=1024 + i), "sw2", 3),
+                (instrumented([4], inner=ipv6_packet(
+                    "2001:db8:1::1", "2001:db8:2::1", sport=3000 + i)), "sw1", 3),
+            ]
+        probed = IntCollector()
+        selector = probed._linkage.selector
+        lookups = []
+
+        def counted(header):
+            lookups.append(header)
+            return selector(header)
+
+        monkeypatch.setattr(probed._linkage, "selector", counted)
+        rounds = [probed.ingest_batch(items)]
+        cold = len(lookups)
+        assert cold and probed._probes
+        rounds.append(probed.ingest_batch(items))
+        assert len(lookups) == cold  # the second round walked nothing
+
+        monkeypatch.setattr(columnar, "MAX_PROBES", 0)
+        walking = IntCollector()
+        want = [walking.ingest_batch(items) for _ in range(2)]
+        assert walking._probes == []
+        for got, expected in zip(rounds, want):
+            assert [r.stripped for r in got] == [r.stripped for r in expected]
+            assert [r.record for r in got] == [r.record for r in expected]
+        assert probed.records == walking.records
+
     def test_dropped_collector_is_freed_without_a_gc_pass(self):
         """No reference cycle: a fabric that swaps in a fresh collector
         releases the old one's records at once, not at the next full

@@ -127,11 +127,11 @@ def _columns(widths, rows):
     return cols
 
 
-def _batch(table, widths, rows, lengths):
+def _batch(table, widths, rows, lengths, fits=None):
     """Batched lookup -> the ``n`` of each row's entry (None: miss)."""
     assert table.prepare_batch(np)
     idx, entries = table.lookup_batch(
-        np, _columns(widths, rows), np.array(lengths, np.uint64)
+        np, _columns(widths, rows), np.array(lengths, np.uint64), fits
     )
     return [entries[i].action_data["n"] if i >= 0 else None
             for i in idx.tolist()]
@@ -197,3 +197,58 @@ def test_both_codecs_and_the_oversize_guard_run():
     assert _batch(narrow, (16, 32), rows, [64] * 5) == [1, 0, 0, None, None]
     rows = [(1, 0x0A01 << 48), (1, 0x0B << 56), (1 << 40, 0x0A << 56), (2, 5)]
     assert _batch(wide, (32, 64), rows, [64] * 4) == [1, 0, None, None]
+
+
+def test_fits_spares_the_guard_column_by_column():
+    """A column marked as fitting its declared width skips the oversize
+    guard; one that is not -- a metadata column -- still answers
+    through the scalar lookup when it is wider.  Unguarded, the 16 + 9
+    bit packed key of ``(0x0800, 0x201)`` would alias entry
+    ``(0x0801, 1)``."""
+    table, scalar = _table("exact", (16, 9)), _table("exact", (16, 9))
+    _install(table, [(0x0801, 1), (0x0800, 1)])
+    _install(scalar, [(0x0801, 1), (0x0800, 1)])
+    rows = [(0x0800, 1), (0x0800, 0x201), (0x0801, 1), (0x0900, 1)]
+    assert _alias((16, 9), rows[1]) == (0x0801, 1)
+    got = _batch(table, (16, 9), rows, [64] * 4, fits=(True, False))
+    assert got == _scalar(scalar, rows, [64] * 4) == [1, None, 0, None]
+    assert _counters(table) == _counters(scalar)
+
+
+def test_sites_trust_header_columns_and_guard_metadata():
+    """The columnar compile marks a key part as fitting exactly when it
+    reads a header field no wider than the part: ``l2_l3`` keys on
+    ``(meta.bd, ethernet.dst_addr)``, ``ipv4_lpm`` on ``(meta.vrf,
+    ipv4.dst_addr)``."""
+    from repro.bench.scenarios import case_trace, make_switch
+
+    switch = make_switch("ipsa", "base")
+    switch.inject_batch(case_trace("base", 32))
+    fits = {
+        ex.table.name: ex.fits
+        for sp in switch.dp._columnar[1].sigs.values() if sp is not None
+        for ex in sp.execs
+    }
+    assert fits["l2_l3"] == (False, True)
+    assert fits["ipv4_lpm"] == (False, True)
+    assert fits["port_map"] == (False,)
+
+
+def test_an_oversize_metadata_key_answers_like_the_scalar_loop():
+    """End to end: ``port_map`` keys on ``meta.ingress_port``, so a
+    port wider than that key part keeps the guard on the columnar path
+    and every row answers as N ``inject`` calls do."""
+    from repro.bench.scenarios import case_trace, make_switch
+
+    items = [
+        (data, port + (1 << 40) if i % 3 == 0 else port)
+        for i, (data, port) in enumerate(case_trace("base", 24))
+    ]
+    batch, singles = make_switch("ipsa", "base"), make_switch("ipsa", "base")
+    want = [singles.inject(data, port) for data, port in items]
+    got = list(batch.inject_batch(items))
+    assert [(o.port, o.data) if o else None for o in got] == [
+        (o.port, o.data) if o else None for o in want
+    ]
+    assert batch.dp._columnar is not None
+    assert batch.tables["port_map"].miss_count == singles.tables["port_map"].miss_count
