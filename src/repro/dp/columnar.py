@@ -3,7 +3,7 @@
 The scalar loop pays Python dispatch per packet per stage; a trace of
 mostly-identical packets repeats the same parse decisions, predicate
 evaluations, and table probes thousands of times.  This module runs
-:func:`repro.dp.frontdoor.inject_batch` input -- one
+:meth:`repro.dp.frontdoor.Device.inject_batch` input -- one
 :class:`~repro.dp.batch.PacketBatch` -- column-wise instead:
 
 1. **Classify** -- partition rows by *parse-set signature*, the exact
@@ -1046,7 +1046,7 @@ def _compile_push_int(ctx: _Ctx, params: Dict[str, int]):
     width = params.get("switch_id")
     if width is not None and width > 64:
         raise _Ineligible("switch_id")
-    shim = (getattr(device, "header_types", None) or {}).get("int_shim")
+    shim = device.header_types.get("int_shim")
     if (
         shim is None
         or [(f.name, f.width) for f in shim.fields] != _INT_SHIM_FIELDS
@@ -1662,17 +1662,17 @@ class ColumnarProgram:
         self.sigs: Dict[tuple, Optional[_SigPlan]] = {}
         self.probes: List[tuple] = []  # learned parse paths (classify)
         self.template = core.metadata_template
-        # Classify with the parse graph the plan parses with.
-        source = core.device if plan.parser is None else plan.parser
-        self.header_types = source.header_types
-        self.linkage = source.linkage
+        # Classify with the parse graph the device parses with.
+        device = core.device
+        self.header_types = device.header_types
+        self.linkage = device.linkage
         group = self.template.get("mcast_grp", 0)
         # A default multicast group would route every packet through
         # TM replication -- scalar only.
         self.supported = plan.tm is None or (
             isinstance(group, int) and group == 0
         )
-        self.first_header = core.first_header()
+        self.first_header = device.first_header
 
     def sig(self, core, plan, key, chain, terminal) -> Optional[_SigPlan]:
         sp = self.sigs.get(key, _MISSING)

@@ -1,38 +1,38 @@
-"""Per-device dataplane cores: plan cache + architecture specifics.
+"""The per-device dataplane core: plan cache + metadata template.
 
-A core owns three things for its device:
+A core owns two things for its device:
 
-* the **compiled plan cache** -- compiled lazily on first use, counted
-  in ``dp.plan_compiles``, and dropped by :meth:`invalidate` whenever
-  a runtime event could change what the plan resolved (template write,
-  selector reconfig, table create/free/repoint, schema change, full
-  load).  Each invalidation bumps a generation counter and a
-  per-reason ``dp.plan_invalidations`` metric;
+* the **compiled plan cache** -- compiled lazily on first use by the
+  architecture's plan compiler (:func:`~repro.dp.plan.compile_ipsa_plan`
+  or :func:`~repro.dp.plan.compile_fixed_plan`, handed in by the
+  switch), counted in ``dp.plan_compiles``, and dropped by
+  :meth:`invalidate` whenever a runtime event could change what the
+  plan resolved (template write, selector reconfig, table
+  create/free/repoint, schema change, full load).  Each invalidation
+  bumps a generation counter and a per-reason
+  ``dp.plan_invalidations`` metric;
 * the **merged metadata template** -- the device's metadata defaults
   folded under the intrinsic fields once, so the front door builds a
-  packet's metadata with a single dict copy;
-* the **architecture binding** -- how one packet traverses the device
-  (:meth:`process`) and how a surviving copy serializes
-  (:meth:`serialize`), shared by ``inject``/``inject_multi``/
-  ``inject_batch``.
+  packet's metadata with a single dict copy.
+
+How a packet traverses the device is not the core's business: the one
+:func:`~repro.dp.exec.run_pipeline` reads that off the plan.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-from repro.dp.exec import PipelineOutcome, run_ipsa_pipeline, run_tsp_plan
-from repro.dp.plan import compile_fixed_plan, compile_ipsa_plan
 from repro.net.packet import INTRINSIC_METADATA, Packet
 from repro.obs.metrics import MetricsRegistry, Sample
-from repro.obs.trace import DropReason
 
 
 class DataplaneCore:
-    """Base core: plan cache, invalidation metrics, metadata template."""
+    """Plan cache, invalidation metrics, metadata template."""
 
-    def __init__(self, device) -> None:
+    def __init__(self, device, compile_plan) -> None:
         self.device = device
+        self._compile_plan = compile_plan
         self.generation = 0
         #: Epoch pointer: bumped only by :meth:`flip` (a transactional
         #: commit installing a pre-compiled shadow plan).  Invalidation
@@ -82,7 +82,7 @@ class DataplaneCore:
         """The compiled plan, compiling (and counting) if stale."""
         plan = self._plan
         if plan is None:
-            plan = self._plan = self._compile()
+            plan = self._plan = self._compile_plan(self.device)
             self.plan_compiles += 1
         return plan
 
@@ -97,7 +97,7 @@ class DataplaneCore:
         ``deparser`` for PISA).  Transactions use this to pay the full
         compile cost while old plans keep serving traffic.
         """
-        plan = self._compile(view)
+        plan = self._compile_plan(view)
         self.plan_compiles += 1
         return plan
 
@@ -129,65 +129,6 @@ class DataplaneCore:
         metadata = dict(self.metadata_template)
         metadata["ingress_port"] = port
         metadata["packet_length"] = len(data)
-        return Packet(data, first_header=self.first_header(), metadata=metadata)
-
-    # -- architecture binding (subclass responsibilities) --------------
-
-    def _compile(self, device=None):
-        raise NotImplementedError
-
-    def first_header(self) -> str:
-        raise NotImplementedError
-
-    def process(self, packet, hooks, meter=None) -> PipelineOutcome:
-        raise NotImplementedError
-
-    def serialize(self, packet, hooks) -> bytes:
-        raise NotImplementedError
-
-
-class IpsaCore(DataplaneCore):
-    """IPSA binding: elastic TSP pipeline + TM, emit-in-flight."""
-
-    def _compile(self, device=None):
-        return compile_ipsa_plan(device if device is not None else self.device)
-
-    def first_header(self) -> str:
-        return self.device.first_header
-
-    def process(self, packet, hooks, meter=None) -> PipelineOutcome:
-        return run_ipsa_pipeline(self.plan(), packet, self.device, hooks, meter)
-
-    def serialize(self, packet, hooks) -> bytes:
-        # IPSA maintains the full header stack in flight: no deparser.
-        return packet.emit()
-
-
-class PisaCore(DataplaneCore):
-    """PISA binding: the same stage executor over PISA's plan shape --
-    front parse before stage 0, no TM between the sides, an explicit
-    deparser."""
-
-    def _compile(self, device=None):
-        return compile_fixed_plan(device if device is not None else self.device)
-
-    def first_header(self) -> str:
-        return self.device.parser.first_header
-
-    def process(self, packet, hooks, meter=None) -> PipelineOutcome:
-        device = self.device
-        plan = self.plan()
-        hooks.front_parse(plan.parser, packet)
-        metadata = packet.metadata
-        for side, reason in (
-            (plan.ingress, DropReason.INGRESS_ACTION),
-            (plan.egress, DropReason.EGRESS_ACTION),
-        ):
-            for stage_plan in side:
-                run_tsp_plan(stage_plan, packet, device, hooks, meter)
-                if metadata.get("drop"):
-                    return PipelineOutcome((), reason)
-        return PipelineOutcome((packet,))
-
-    def serialize(self, packet, hooks) -> bytes:
-        return hooks.deparse(self.device.deparser, packet)
+        return Packet(
+            data, first_header=self.device.first_header, metadata=metadata
+        )

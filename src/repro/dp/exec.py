@@ -94,33 +94,44 @@ def run_tsp_plan(plan, packet, device, hooks, meter=None) -> None:
         hooks.unit_end(ctx, plan)
 
 
-def run_ipsa_pipeline(plan, packet, device, hooks, meter=None) -> PipelineOutcome:
-    """Ingress TSPs -> traffic manager -> egress TSPs (per copy)."""
+def run_egress(plan, packet, device, hooks, meter=None) -> bool:
+    """Run one copy through the egress units; ``False`` if one dropped it."""
+    for unit in plan.egress:
+        run_tsp_plan(unit, packet, device, hooks, meter)
+        if packet.metadata.get("drop"):
+            return False
+    return True
+
+
+def run_pipeline(plan, packet, device, hooks, meter=None) -> PipelineOutcome:
+    """Front parse (when the plan has a parser) -> ingress units ->
+    traffic manager (when it has one) -> egress units, per copy.
+
+    Without a TM the packet goes straight on as its own single egress
+    copy."""
+    if plan.parser is not None:
+        hooks.front_parse(plan.parser, packet)
     metadata = packet.metadata
-    for tsp_plan in plan.ingress:
-        run_tsp_plan(tsp_plan, packet, device, hooks, meter)
+    for unit in plan.ingress:
+        run_tsp_plan(unit, packet, device, hooks, meter)
         if metadata.get("drop"):
             return PipelineOutcome((), DropReason.INGRESS_ACTION)
-    tm = device.pipeline.tm
-    queued_count = hooks.tm_enqueue(tm, packet)
-    if queued_count == 0:
-        group_id = int(metadata.get("mcast_grp", 0))  # type: ignore[arg-type]
-        if group_id and not tm.group(group_id):
-            return PipelineOutcome((), DropReason.MCAST_UNKNOWN_GROUP)
-        return PipelineOutcome((), DropReason.TM_TAIL_DROP)
+    tm = plan.tm
+    copies = 1
+    if tm is not None:
+        copies = hooks.tm_enqueue(tm, packet)
+        if copies == 0:
+            group_id = int(metadata.get("mcast_grp", 0))  # type: ignore[arg-type]
+            if group_id and not tm.group(group_id):
+                return PipelineOutcome((), DropReason.MCAST_UNKNOWN_GROUP)
+            return PipelineOutcome((), DropReason.TM_TAIL_DROP)
     outputs: List = []
     copy_drops: List[DropReason] = []
-    for _ in range(queued_count):
-        queued = hooks.tm_dequeue(tm)
-        assert queued is not None
-        dropped = False
-        for tsp_plan in plan.egress:
-            run_tsp_plan(tsp_plan, queued, device, hooks, meter)
-            if queued.metadata.get("drop"):
-                copy_drops.append(DropReason.EGRESS_ACTION)
-                dropped = True
-                break
-        if not dropped:
-            outputs.append(queued)
+    for _ in range(copies):
+        copy = packet if tm is None else hooks.tm_dequeue(tm)
+        if run_egress(plan, copy, device, hooks, meter):
+            outputs.append(copy)
+        else:
+            copy_drops.append(DropReason.EGRESS_ACTION)
     reason = DropReason.EGRESS_ACTION if copy_drops and not outputs else None
     return PipelineOutcome(tuple(outputs), reason, tuple(copy_drops))

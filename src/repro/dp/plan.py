@@ -164,6 +164,8 @@ def compile_ipsa_plan(device) -> DevicePlan:
 
 def compile_fixed_plan(device) -> DevicePlan:
     """Compile a PisaSwitch's placed stages: PISA's plan shape."""
+    if device.pipeline is None:
+        raise RuntimeError("switch has no design loaded")
     stages = device.pipeline.stages
 
     def side(name):

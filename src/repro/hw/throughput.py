@@ -119,8 +119,8 @@ def pisa_throughput(
     started = clock.now()
     for data, port in trace:
         # Pre-measure the parse depth the front parser must extract.
-        probe = Packet(data, first_header=switch.parser.first_header)
-        probe.parse_all(switch.parser.header_types, switch.parser.linkage)
+        probe = Packet(data, first_header=switch.first_header)
+        probe.parse_all(switch.header_types, switch.linkage)
         stack_bits = probe.cursor_bits
         parse_cycles = max(1, math.ceil(stack_bits / cal.parser_bus_bits))
         total_cycles += float(parse_cycles)

@@ -17,20 +17,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.compiler.lowering import action_from_json, builtin_actions, lower_table
-from repro.dp import frontdoor
-from repro.dp.core import IpsaCore
-from repro.dp.frontdoor import PACKET_BYTES_BOUNDS, PortOut
+from repro.dp.frontdoor import Device, PortOut
+from repro.dp.plan import compile_ipsa_plan
 from repro.ipsa.pipeline import ElasticPipeline, SelectorConfig
 from repro.net.headers import FieldDef, HeaderType
 from repro.net.linkage import HeaderLinkageTable
-from repro.obs.clock import Clock
-from repro.obs.metrics import MetricsRegistry, Sample
-from repro.obs.prof import Profiler
-from repro.obs.timeline import TimelineRecorder
-from repro.obs.trace import DropReason, PacketTracer
-from repro.tables.actions import ActionDef
-from repro.tables.meters import MeterBank
-from repro.tables.registers import ExternStore
+from repro.obs.metrics import Sample
+from repro.obs.trace import DropReason
 from repro.tables.table import Table
 
 
@@ -118,63 +111,18 @@ def table_from_spec(name: str, spec: dict) -> Table:
     )
 
 
-class IpsaSwitch:
+class IpsaSwitch(Device):
     """The ipbm reference software switch."""
 
     def __init__(self, n_tsps: int = 8) -> None:
         self.pipeline = ElasticPipeline(n_tsps)
-        self.header_types: Dict[str, HeaderType] = {}
-        self.linkage = HeaderLinkageTable()
-        self.actions: Dict[str, ActionDef] = builtin_actions()
-        self.tables: Dict[str, Table] = {}
-        self.metadata_defaults: Dict[str, int] = {}
-        self.first_header = "ethernet"
-        self.packets_in = 0
-        self.packets_out = 0
-        self.packets_dropped = 0
-        self.punted = 0
         # Back-pressure machinery: while an update is in progress the
         # intake is paused and arriving packets wait upstream.
         self.rx_queue: "deque[Tuple[bytes, int]]" = deque()
         self.paused = False
-        self.externs = ExternStore()
-        self.meters = MeterBank()
-        self.clock = 0  # logical time: one tick per injected packet
-        # Observability: the registry is the canonical export surface
-        # (collectors read the live counters above at collect time);
-        # the tracer is opt-in and None on the hot path by default.
-        self.drop_reasons: Dict[str, int] = {}
-        self.tracer: Optional[PacketTracer] = None
-        self.profiler: Optional[Profiler] = None
-        # INT instrumentation: both stay None on the untelemetered hot
-        # path.  ``int_clock`` stamps ingress/egress timestamps for
-        # push_int; ``int_collector`` (duck-typed: observe_strip) is
-        # fed by pop_int at sink nodes.
-        self.int_clock: Optional[Clock] = None
-        self.int_collector = None
-        self.int_node: Optional[str] = None
-        # Flight recorder: a device-bound handle (duck-typed: record)
-        # hung here by HealthEngine.add_source.  Only control-plane
-        # paths (txn abort/commit, rollback) write to it -- the packet
-        # hot path never reads it.
-        self.flight_recorder = None
-        self.timelines = TimelineRecorder()
-        self.metrics = MetricsRegistry()
-        self._packet_bytes = self.metrics.histogram(
-            "device.packet_bytes", PACKET_BYTES_BOUNDS
-        )
-        # The shared dataplane execution core: compiled stage plans,
-        # invalidated whenever the pipeline or table set changes.
-        self.dp = IpsaCore(self)
-        self.dp.register_metrics(self.metrics)
+        super().__init__(compile_ipsa_plan)
         self.pipeline.on_change = self.dp.invalidate
-        self._register_metrics()
-
-    # -- observability -----------------------------------------------------
-
-    def _register_metrics(self) -> None:
         metrics = self.metrics
-        metrics.add_collector("device", self._device_samples)
         metrics.add_collector(
             "tsps",
             lambda: (
@@ -182,79 +130,11 @@ class IpsaSwitch:
             ),
         )
         metrics.add_collector("tm", lambda: self.pipeline.tm.metrics_samples())
-        metrics.add_collector(
-            "tables",
-            lambda: (
-                s
-                for table in list(self.tables.values())
-                for s in table.metrics_samples()
-            ),
-        )
-        metrics.add_collector("sketches", self._sketch_samples)
-        metrics.add_collector("meters", lambda: self.meters.metrics_samples())
+        metrics.add_collector("gauges", self._gauge_samples)
 
-    def _device_samples(self):
-        yield Sample("device.packets_in", self.packets_in)
-        yield Sample("device.packets_out", self.packets_out)
-        yield Sample("device.packets_dropped", self.packets_dropped)
-        yield Sample("device.punted", self.punted)
+    def _gauge_samples(self):
         yield Sample("device.rx_queue_depth", len(self.rx_queue), {}, "gauge")
         yield Sample("device.active_tsps", self.active_tsp_count(), {}, "gauge")
-        for reason, count in self.drop_reasons.items():
-            yield Sample("device.drops", count, {"reason": reason})
-
-    def _sketch_samples(self):
-        for name, sketch in self.externs.sketches.items():
-            labels = {"sketch": name}
-            yield Sample("sketch.updates", sketch.updates, dict(labels))
-            yield Sample("sketch.columns", sketch.columns, dict(labels), "gauge")
-            yield Sample("sketch.rows", len(sketch.rows), dict(labels), "gauge")
-
-    def note_drop(self, reason: DropReason, count: int = 1) -> None:
-        """Attribute ``count`` (copy-level) drops to a taxonomy reason."""
-        key = reason.value
-        self.drop_reasons[key] = self.drop_reasons.get(key, 0) + count
-
-    def enable_tracing(self, capacity: int = 256) -> PacketTracer:
-        """Attach (and return) a per-packet tracer; idempotent."""
-        if self.tracer is None:
-            self.tracer = PacketTracer(capacity=capacity)
-        return self.tracer
-
-    def disable_tracing(self) -> Optional[PacketTracer]:
-        """Detach the tracer (hot path returns to the untraced fast
-        path); returns it so captured traces stay readable."""
-        tracer, self.tracer = self.tracer, None
-        return tracer
-
-    def enable_profiling(self, clock: Optional[Clock] = None) -> Profiler:
-        """Attach (and return) the wall-time profiler; idempotent."""
-        if self.profiler is None:
-            self.profiler = Profiler(clock=clock)
-        return self.profiler
-
-    def disable_profiling(self) -> Optional[Profiler]:
-        """Detach the profiler (hot path returns to the unprofiled
-        fast path); returns it so accumulated records stay readable."""
-        profiler, self.profiler = self.profiler, None
-        return profiler
-
-    def enable_int(self, clock: Optional[Clock] = None) -> Clock:
-        """Turn on INT timestamping: the front door stamps
-        ``ingress_ts_ns`` on arrivals and ``push_int`` reads this clock
-        for egress timestamps.  Idempotent."""
-        if self.int_clock is None:
-            from repro.obs.clock import MONOTONIC
-
-            self.int_clock = clock if clock is not None else MONOTONIC
-        return self.int_clock
-
-    def attach_int_collector(self, collector, node: Optional[str] = None) -> None:
-        """Attach a sink-side INT collector; ``pop_int`` reports each
-        stripped hop stack to it (duck-typed: ``observe_strip``).
-        ``node`` labels this device in the collector's records."""
-        self.int_collector = collector
-        self.int_node = node
 
     # -- configuration (the Control Channel Module) -----------------------
 
@@ -292,33 +172,6 @@ class IpsaSwitch:
     def _create_table(self, name: str, spec: dict) -> None:
         self.tables[name] = table_from_spec(name, spec)
         self.dp.invalidate("tables")
-
-    def set_table(self, name: str, table: Table) -> None:
-        """Repoint a table name at a different :class:`Table` object.
-
-        The compiled stage plans hold direct table references, so a
-        repoint must invalidate them (counted under ``table_repoint``).
-        """
-        self.tables[name] = table
-        self.dp.invalidate("table_repoint")
-
-    # -- traffic ------------------------------------------------------------
-
-    def inject(self, data: bytes, port: int = 0, meter=None) -> Optional[PortOut]:
-        """Push one packet through the device."""
-        return frontdoor.inject(self.dp, data, port, meter)
-
-    def inject_multi(self, data: bytes, port: int = 0) -> List[PortOut]:
-        """Like :meth:`inject`, but returns every copy a multicast
-        group produced (unicast packets return a one-element list)."""
-        return frontdoor.inject_multi(self.dp, data, port)
-
-    def inject_batch(self, trace, meter=None):
-        """Push a :class:`~repro.dp.batch.PacketBatch` (answered by the
-        batch of survivors) or a ``(data, port)`` trace (answered by a
-        :class:`~repro.dp.frontdoor.BatchResult`) through, amortizing the front door (see
-        :func:`repro.dp.frontdoor.inject_batch`)."""
-        return frontdoor.inject_batch(self.dp, trace, meter)
 
     # -- queued intake (back-pressure semantics) -----------------------------
 
@@ -363,7 +216,7 @@ class IpsaSwitch:
         after the pointer swap, outside the stall window -- so the
         update loses no traffic.  Returns the emitted outputs.
         """
-        from repro.dp.exec import run_tsp_plan
+        from repro.dp.exec import run_egress
         from repro.dp.frontdoor import _emit_one
         from repro.dp.hooks import resolve_hooks
 
@@ -375,15 +228,10 @@ class IpsaSwitch:
             queued = tm.dequeue()
             if queued is None:
                 return outputs
-            dropped = False
-            for tsp_plan in plan.egress:
-                run_tsp_plan(tsp_plan, queued, self, hooks)
-                if queued.metadata.get("drop"):
-                    self.note_drop(DropReason.EGRESS_ACTION)
-                    dropped = True
-                    break
-            if not dropped:
-                outputs.append(_emit_one(self.dp, hooks, None, queued))
+            if run_egress(plan, queued, self, hooks):
+                outputs.append(_emit_one(self, plan, hooks, None, queued))
+            else:
+                self.note_drop(DropReason.EGRESS_ACTION)
 
     def begin_update(self, update: dict) -> "IpsaUpdateTransaction":
         """Open a prepare/validate/commit/abort transaction for an
@@ -412,12 +260,6 @@ class IpsaSwitch:
         return txn.commit()
 
     # -- introspection ---------------------------------------------------------
-
-    def table(self, name: str) -> Table:
-        try:
-            return self.tables[name]
-        except KeyError:
-            raise KeyError(f"switch has no table {name!r}") from None
 
     def active_tsp_count(self) -> int:
         return len(self.pipeline.active_tsps())

@@ -14,22 +14,15 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 from repro.compiler.lowering import builtin_actions, lower_action, lower_table
-from repro.dp import frontdoor
-from repro.dp.core import PisaCore
-from repro.dp.frontdoor import PACKET_BYTES_BOUNDS, PortOut
-from repro.obs.clock import Clock
-from repro.obs.metrics import MetricsRegistry, Sample
-from repro.obs.prof import Profiler
-from repro.obs.timeline import TimelineRecorder
-from repro.obs.trace import DropReason, PacketTracer
+from repro.dp.frontdoor import Device
+from repro.dp.plan import compile_fixed_plan
+from repro.obs.metrics import Sample
 from repro.p4.hlir import Hlir, build_hlir
 from repro.p4.parser import parse_p4
 from repro.pisa.deparser import Deparser
 from repro.pisa.parser import FrontEndParser
 from repro.pisa.pipeline import FixedPipeline
 from repro.tables.actions import ActionDef
-from repro.tables.meters import MeterBank
-from repro.tables.registers import ExternStore
 from repro.tables.table import Table, TableEntry
 
 
@@ -81,7 +74,7 @@ class ReloadStats:
     stall_seconds: float = 0.0
 
 
-class PisaSwitch:
+class PisaSwitch(Device):
     """A PISA behavioral switch configured from HLIR."""
 
     def __init__(self, n_stages: Optional[int] = None) -> None:
@@ -89,56 +82,10 @@ class PisaSwitch:
         self.parser: Optional[FrontEndParser] = None
         self.pipeline: Optional[FixedPipeline] = None
         self.deparser = Deparser()
-        self.tables: Dict[str, Table] = {}
-        self.actions = builtin_actions()
-        self.metadata_defaults: Dict[str, int] = {}
-        self.packets_in = 0
-        self.packets_out = 0
-        self.packets_dropped = 0
-        self.punted = 0
-        self.externs = ExternStore()
-        self.meters = MeterBank()
-        self.clock = 0
-        self.drop_reasons: Dict[str, int] = {}
-        self.tracer: Optional[PacketTracer] = None
-        self.profiler: Optional[Profiler] = None
-        # INT instrumentation (see IpsaSwitch): None on the hot path.
-        self.int_clock: Optional[Clock] = None
-        self.int_collector = None
-        self.int_node: Optional[str] = None
-        self.timelines = TimelineRecorder()
-        self.metrics = MetricsRegistry()
-        self._packet_bytes = self.metrics.histogram(
-            "device.packet_bytes", PACKET_BYTES_BOUNDS
-        )
-        # The shared dataplane execution core (compiled stage plans),
-        # invalidated on every full (re)load.
-        self.dp = PisaCore(self)
-        self.dp.register_metrics(self.metrics)
-        self._register_metrics()
+        super().__init__(compile_fixed_plan)
+        self.metrics.add_collector("pisa", self._pisa_samples)
 
-    # -- observability -----------------------------------------------------
-
-    def _register_metrics(self) -> None:
-        metrics = self.metrics
-        metrics.add_collector("device", self._device_samples)
-        metrics.add_collector(
-            "tables",
-            lambda: (
-                s
-                for table in list(self.tables.values())
-                for s in table.metrics_samples()
-            ),
-        )
-        metrics.add_collector("meters", lambda: self.meters.metrics_samples())
-
-    def _device_samples(self):
-        yield Sample("device.packets_in", self.packets_in)
-        yield Sample("device.packets_out", self.packets_out)
-        yield Sample("device.packets_dropped", self.packets_dropped)
-        yield Sample("device.punted", self.punted)
-        for reason, count in self.drop_reasons.items():
-            yield Sample("device.drops", count, {"reason": reason})
+    def _pisa_samples(self):
         if self.parser is not None:
             yield Sample("parser.packets", self.parser.stats.packets)
             yield Sample(
@@ -148,44 +95,6 @@ class PisaSwitch:
             yield Sample("pipeline.packets", self.pipeline.stats.packets)
             yield Sample("pipeline.lookups", self.pipeline.stats.lookups)
             yield Sample("pipeline.actions_run", self.pipeline.stats.actions_run)
-        for name, sketch in self.externs.sketches.items():
-            yield Sample("sketch.updates", sketch.updates, {"sketch": name})
-
-    def note_drop(self, reason: DropReason, count: int = 1) -> None:
-        key = reason.value
-        self.drop_reasons[key] = self.drop_reasons.get(key, 0) + count
-
-    def enable_tracing(self, capacity: int = 256) -> PacketTracer:
-        if self.tracer is None:
-            self.tracer = PacketTracer(capacity=capacity)
-        return self.tracer
-
-    def disable_tracing(self) -> Optional[PacketTracer]:
-        tracer, self.tracer = self.tracer, None
-        return tracer
-
-    def enable_profiling(self, clock: Optional[Clock] = None) -> Profiler:
-        """Attach (and return) the wall-time profiler; idempotent."""
-        if self.profiler is None:
-            self.profiler = Profiler(clock=clock)
-        return self.profiler
-
-    def disable_profiling(self) -> Optional[Profiler]:
-        profiler, self.profiler = self.profiler, None
-        return profiler
-
-    def enable_int(self, clock: Optional[Clock] = None) -> Clock:
-        """Turn on INT timestamping (see IpsaSwitch); idempotent."""
-        if self.int_clock is None:
-            from repro.obs.clock import MONOTONIC
-
-            self.int_clock = clock if clock is not None else MONOTONIC
-        return self.int_clock
-
-    def attach_int_collector(self, collector, node: Optional[str] = None) -> None:
-        """Attach a sink-side INT collector fed by ``pop_int``."""
-        self.int_collector = collector
-        self.int_node = node
 
     # -- configuration ----------------------------------------------------
 
@@ -199,8 +108,15 @@ class PisaSwitch:
         self.dp.invalidate("load")
 
     def install(self, design: PisaDesign) -> None:
-        """Point the switch at a built design (a load, a reload commit)."""
-        self.parser = design.parser
+        """Point the switch at a built design (a load, a reload commit).
+
+        The front parser's graph is published as the device's own
+        ``header_types`` / ``linkage`` / ``first_header``, so nothing
+        downstream asks which family it holds."""
+        parser = self.parser = design.parser
+        self.header_types = parser.header_types
+        self.linkage = parser.linkage
+        self.first_header = parser.first_header
         self.actions = design.actions
         self.tables = design.tables
         self.metadata_defaults = design.metadata_defaults
@@ -244,34 +160,3 @@ class PisaSwitch:
         stats = txn.commit()
         stats.seconds = time.perf_counter() - started
         return stats
-
-    # -- traffic --------------------------------------------------------------
-
-    def inject(self, data: bytes, port: int = 0) -> Optional[PortOut]:
-        if self.parser is None or self.pipeline is None:
-            raise RuntimeError("switch has no design loaded")
-        return frontdoor.inject(self.dp, data, port)
-
-    def inject_batch(self, trace):
-        """Push a :class:`~repro.dp.batch.PacketBatch` (answered by the
-        batch of survivors) or a ``(data, port)`` trace (answered by a
-        :class:`~repro.dp.frontdoor.BatchResult`) through, amortizing the front door (see
-        :func:`repro.dp.frontdoor.inject_batch`)."""
-        if self.parser is None or self.pipeline is None:
-            raise RuntimeError("switch has no design loaded")
-        return frontdoor.inject_batch(self.dp, trace)
-
-    def set_table(self, name: str, table: Table) -> None:
-        """Repoint a table name at a different :class:`Table` object.
-
-        The compiled stage plan holds direct table references, so a
-        repoint must invalidate it (counted under ``table_repoint``).
-        """
-        self.tables[name] = table
-        self.dp.invalidate("table_repoint")
-
-    def table(self, name: str) -> Table:
-        try:
-            return self.tables[name]
-        except KeyError:
-            raise KeyError(f"switch has no table {name!r}") from None

@@ -558,7 +558,7 @@ class Controller:
         self.design = previous
         self.history.append("rollback")
         self._n_rollbacks.inc()
-        recorder = getattr(self.switch, "flight_recorder", None)
+        recorder = self.switch.flight_recorder
         if recorder is not None:
             # This is the post-mortem trigger: a recorder configured
             # with dump_on=("rollback",) freezes its ring here.

@@ -186,21 +186,17 @@ class _DeviceTransaction:
         return None
 
     def _count(self, name: str) -> None:
-        metrics = getattr(self.switch, "metrics", None)
-        if metrics is not None:
-            metrics.counter(name).inc()
+        self.switch.metrics.counter(name).inc()
 
     def _flight_record(self, kind: str, **attrs: object) -> None:
-        recorder = getattr(self.switch, "flight_recorder", None)
+        recorder = self.switch.flight_recorder
         if recorder is not None:
             recorder.record(kind, txn=self.txn_id, **attrs)
 
     def _observe_stall(self, seconds: float) -> None:
-        metrics = getattr(self.switch, "metrics", None)
-        if metrics is not None:
-            metrics.histogram("txn.stall_seconds", TXN_STALL_BOUNDS).observe(
-                seconds
-            )
+        self.switch.metrics.histogram(
+            "txn.stall_seconds", TXN_STALL_BOUNDS
+        ).observe(seconds)
 
     # -- architecture hooks --------------------------------------------
 

@@ -160,16 +160,6 @@ def prim_push_srh(ctx: ActionContext) -> None:
     packet.write("ipv6.payload_len", plen + 8)
 
 
-def _device_header_types(device):
-    """Header-type dictionary of either switch family (IPSA keeps it
-    on the device, PISA on its front-end parser)."""
-    types = getattr(device, "header_types", None)
-    if types is not None:
-        return types
-    parser = getattr(device, "parser", None)
-    return getattr(parser, "header_types", None)
-
-
 def _int_timestamps_ns(ctx: ActionContext) -> tuple:
     """(ingress, egress) nanosecond stamps for this hop.
 
@@ -179,7 +169,7 @@ def _int_timestamps_ns(ctx: ActionContext) -> tuple:
     switch id / queue depth / epoch.
     """
     packet = ctx.packet
-    clock = getattr(ctx.device, "int_clock", None)
+    clock = ctx.device.int_clock
     egress = int(clock.now() * 1e9) if clock is not None else 0
     ingress = packet.metadata.get("ingress_ts_ns")
     if not isinstance(ingress, int):
@@ -200,10 +190,9 @@ def prim_push_int(ctx: ActionContext) -> None:
     """
     packet = ctx.packet
     device = ctx.device
-    types = _device_header_types(device)
-    if device is None or types is None:
+    if device is None:
         raise RuntimeError("push_int requires a device with header types")
-    shim_type = types.get("int_shim")
+    shim_type = device.header_types.get("int_shim")
     if shim_type is None or not packet.is_valid("ethernet"):
         packet.metadata["drop"] = 1
         return

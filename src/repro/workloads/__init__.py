@@ -24,14 +24,12 @@ from repro.workloads.traces import (
 
 def replay(switch, trace, meter=None):
     """Replay a ``(data, port)`` trace through a switch's batch front
-    door (:func:`repro.dp.frontdoor.inject_batch`).
+    door (:meth:`repro.dp.frontdoor.Device.inject_batch`).
 
     Returns the :class:`repro.dp.frontdoor.BatchResult`, one slot per
     packet -- equivalent to, but much cheaper than, N ``inject`` calls.
     """
-    if meter is not None:
-        return switch.inject_batch(trace, meter)
-    return switch.inject_batch(trace)
+    return switch.inject_batch(trace, meter)
 
 
 __all__ = [
